@@ -1,11 +1,10 @@
 """Timing harness for the batched record pipeline.
 
-Measures the record-pipeline hot ops (shuffle partitioning, ``sizeof``
-memoization, map-task dispatch) and end-to-end ``SPCA.fit`` on both engine
-backends, each as optimized-vs-baseline pairs.  The baseline is the same
-engine with the optimization disabled (``enable_batch=False``, cold size
-cache, per-record partitioner), so every reported speedup isolates one
-change.  Results are written as ``BENCH_3.json``; see the perf section of
+Measures the record-pipeline hot ops (shuffle partitioning, map-task
+dispatch) and end-to-end ``SPCA.fit`` on both engine backends, each as
+optimized-vs-baseline pairs.  The baseline is the same engine with the
+optimization disabled (``enable_batch=False``, per-record partitioner), so
+every reported speedup isolates one change.  Results are written as ``BENCH_3.json``; see the perf section of
 ``benchmarks/README.md`` for the schema.
 
 Wall-clock only: these are real Python timings of the simulator itself, not
@@ -31,7 +30,6 @@ from repro.engine.cluster import ClusterSpec
 from repro.engine.exec import EXECUTOR_NAMES, make_executor
 from repro.engine.mapreduce import MapReduceJob, MapReduceRuntime
 from repro.engine.mapreduce.runtime import _partition_of, _partition_pairs
-from repro.engine.serde import clear_sizeof_cache, sizeof
 from repro.engine.spark.context import SparkContext
 from repro.jobs import mapreduce_jobs as mr
 from repro.obs import collecting, tracing
@@ -148,37 +146,6 @@ def bench_shuffle_partitioning(repeats: int, n_records: int) -> dict:
     )
 
 
-def bench_sizeof_memoization(repeats: int, n_values: int) -> dict:
-    """Warm identity-keyed cache vs re-measuring every value."""
-    rng = np.random.default_rng(0)
-    values = [
-        sp.random(64, 64, density=0.1, random_state=i, format="csr")
-        if i % 2
-        else rng.normal(size=(64, 64))
-        for i in range(n_values)
-    ]
-
-    def cold():
-        clear_sizeof_cache()
-        for value in values:
-            sizeof(value)
-
-    def warm():
-        for value in values:
-            sizeof(value)
-
-    cold_s = best_of(cold, repeats)
-    clear_sizeof_cache()
-    sizeof(values)  # populate once
-    warm_s = best_of(warm, repeats)
-    return _op(
-        "sizeof_memoization",
-        baseline_s=cold_s,
-        optimized_s=warm_s,
-        n_values=n_values,
-    )
-
-
 def bench_map_dispatch(repeats: int, records_per_split: int) -> dict:
     """One ``map_batch`` stacked-kernel call vs per-record ``map`` calls."""
     split = [
@@ -262,13 +229,11 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
         granularities = [8]
         max_iterations = 2
         n_records = 2000
-        n_values = 64
     else:
         data = sp.random(4000, 400, density=0.05, random_state=0, format="csr")
         granularities = [16, 32]
         max_iterations = 3
         n_records = 20000
-        n_values = 256
 
     # Collect engine metrics across every fit the suite performs; the
     # snapshot is stamped into the document so a BENCH_3.json records not
@@ -276,7 +241,6 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
     with collecting() as registry:
         ops = [
             bench_shuffle_partitioning(repeats, n_records),
-            bench_sizeof_memoization(repeats, n_values),
             bench_map_dispatch(repeats, 64 if quick else 256),
         ]
         end_to_end = [

@@ -4,7 +4,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/perf/run.py                    # BENCH_3.json
     PYTHONPATH=src python benchmarks/perf/run.py --suite executor   # BENCH_5.json
-    PYTHONPATH=src python benchmarks/perf/run.py --suite kernels    # BENCH_kernels.json
     PYTHONPATH=src python benchmarks/perf/run.py --suite serve      # BENCH_serve.json
     PYTHONPATH=src python benchmarks/perf/run.py --suite stream     # BENCH_stream.json
     PYTHONPATH=src python benchmarks/perf/run.py --quick            # CI smoke shapes
@@ -14,10 +13,7 @@ executor); ``executor`` measures end-to-end ``SPCA.fit`` under the
 ``serial``/``threads``/``processes`` executors across a worker-scaling
 curve; ``serve`` fires a storm of concurrent single-row requests at the
 micro-batching serving layer (batched vs unbatched, bitwise-verified);
-``kernels`` measures the pluggable kernel backends (fused/numba vs numpy,
-micro-op chains and end-to-end fits, all bitwise-verified) plus the
-worker-resident per-iteration dispatch-byte reduction and the raw-BLAS
-floor; ``stream`` measures windowed streaming PCA on each engine (sustained
+``stream`` measures windowed streaming PCA on each engine (sustained
 rows/s, window wall percentiles, backpressure lag, checkpoint overhead,
 bitwise-verified against the incremental oracle).
 Each writes its result document (schema: perf section of
@@ -48,11 +44,6 @@ from perf.harness import (  # noqa: E402
     validate,
     validate_executor,
 )
-from perf.kernels_bench import (  # noqa: E402
-    run_kernels_suite,
-    summarize_kernels,
-    validate_kernels,
-)
 from perf.stream_bench import (  # noqa: E402
     run_stream_suite,
     summarize_stream,
@@ -79,12 +70,6 @@ SUITES = {
         validate_executor,
         summarize_executor,
         "BENCH_5.json",
-    ),
-    "kernels": (
-        run_kernels_suite,
-        validate_kernels,
-        summarize_kernels,
-        "BENCH_kernels.json",
     ),
     "serve": (_run_serve, validate_serve, summarize_serve, "BENCH_serve.json"),
     "stream": (

@@ -55,7 +55,6 @@ def test_ops_cover_the_pipeline_hot_spots(result):
     names = {op["name"] for op in result["ops"]}
     assert names == {
         "shuffle_partitioning",
-        "sizeof_memoization",
         "map_task_dispatch",
     }
 
@@ -218,92 +217,6 @@ def test_processes_executor_beats_serial_on_multicore():
         processes_s = time.perf_counter() - started
     assert got == expected
     assert serial_s / processes_s >= 1.5, (serial_s, processes_s)
-
-
-# -- kernels suite (BENCH_kernels) -----------------------------------------
-
-
-@pytest.fixture(scope="module")
-def kernels_result():
-    from perf.kernels_bench import run_kernels_suite
-
-    return run_kernels_suite(quick=True, repeats=1)
-
-
-def test_kernels_suite_passes_validation(kernels_result):
-    from perf.kernels_bench import KERNELS_BENCH_NAME, validate_kernels
-
-    validate_kernels(kernels_result)
-    assert kernels_result["bench"] == KERNELS_BENCH_NAME
-    parsed = json.loads(json.dumps(kernels_result))
-    validate_kernels(parsed)
-
-
-def test_kernels_suite_covers_matrix_and_verifies_bitwise(kernels_result):
-    from repro.jobs.backends import KERNEL_BACKEND_NAMES, NUMBA_AVAILABLE
-
-    combos = {
-        (e["engine"], e["kernel_backend"])
-        for e in kernels_result["end_to_end"]
-    }
-    assert combos == {
-        (engine, name)
-        for engine in ("mapreduce", "spark")
-        for name in KERNEL_BACKEND_NAMES
-    }
-    for entry in kernels_result["end_to_end"]:
-        if entry["backend_resolved"] != "numba":
-            assert entry["bitwise_equal_to_numpy"] is True
-    resolved = kernels_result["provenance"]["kernel_backends_resolved"]
-    assert resolved["numpy"] == "numpy"
-    assert resolved["fused"] == "fused"
-    assert resolved["numba"] == ("numba" if NUMBA_AVAILABLE else "numpy")
-
-
-def test_kernels_residency_and_raw_blas_recorded(kernels_result):
-    residency = kernels_result["residency"]
-    assert residency["executor"] == "processes"
-    assert residency["reduction"] > 1
-    assert kernels_result["raw_blas"]["gap"] > 0
-
-
-def test_kernels_summary_renders(kernels_result):
-    from perf.kernels_bench import KERNELS_BENCH_NAME, summarize_kernels
-
-    text = summarize_kernels(kernels_result)
-    assert KERNELS_BENCH_NAME in text
-    assert "residency" in text
-    assert "raw BLAS floor" in text
-
-
-def test_kernels_validate_rejects_divergence(kernels_result):
-    from perf.kernels_bench import validate_kernels
-
-    diverged = dict(
-        kernels_result,
-        end_to_end=[
-            dict(e, bitwise_equal_to_numpy=False)
-            for e in kernels_result["end_to_end"]
-        ],
-    )
-    with pytest.raises(ValueError, match="bitwise"):
-        validate_kernels(diverged)
-    no_residency = dict(kernels_result)
-    no_residency.pop("residency")
-    with pytest.raises(ValueError, match="residency"):
-        validate_kernels(no_residency)
-
-
-def test_fused_beats_numpy_on_the_micro_op_suite():
-    """The perf gate for this PR's tentpole: fused >= 1.2x on the EM chain.
-
-    Machine-independent (the win is avoided recomputation, not cores), so
-    unlike the multi-core floor this asserts on every box.
-    """
-    from perf.kernels_bench import bench_em_chain
-
-    op = bench_em_chain(repeats=2, n_splits=64, rows=8, cols=200, d=5)
-    assert op["speedup"] >= 1.2, op
 
 
 # -- stream suite (BENCH_stream) ------------------------------------------

@@ -113,7 +113,6 @@ class MapReduceBackend(Backend):
             name="meanJob",
             mapper=mr.MeanMapper(),
             reducer=mr.MatrixSumReducer(),
-            config={"kernel_backend": self.config.kernel_backend},
         )
         output = dict(self.runtime.run(job, dataset))
         return output[mr.KEY_SUMS] / output[mr.KEY_COUNT]
@@ -126,7 +125,6 @@ class MapReduceBackend(Backend):
             config={
                 "mean": mean,
                 "efficient": self.config.use_efficient_frobenius,
-                "kernel_backend": self.config.kernel_backend,
             },
         )
         output = dict(self.runtime.run(job, dataset))
@@ -142,7 +140,6 @@ class MapReduceBackend(Backend):
             "projector": projector,
             "latent_mean": latent_mean,
             "mean_propagation": self.config.use_mean_propagation,
-            "kernel_backend": self.config.kernel_backend,
         }
         job = MapReduceJob(
             name="YtXJob",
@@ -179,7 +176,6 @@ class MapReduceBackend(Backend):
                 "latent_mean": latent_mean,
                 "components": components,
                 "mean_propagation": self.config.use_mean_propagation,
-                "kernel_backend": self.config.kernel_backend,
             },
         )
         output = dict(self.runtime.run(job, job_input))
@@ -198,7 +194,6 @@ class MapReduceBackend(Backend):
                 "sample_fraction": sample_fraction,
                 "seed": int(rng.integers(2**31)),
                 "mean_propagation": self.config.use_mean_propagation,
-                "kernel_backend": self.config.kernel_backend,
             },
         )
         output = dict(self.runtime.run(job, dataset))
@@ -228,7 +223,6 @@ class MapReduceBackend(Backend):
                     "projector": projector,
                     "latent_mean": latent_mean,
                     "mean_propagation": self.config.use_mean_propagation,
-                    "kernel_backend": self.config.kernel_backend,
                 },
             )
             self.runtime.run(job, dataset)

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.backends.base import Backend
 from repro.core.config import SPCAConfig
+from repro.jobs.backends import KERNEL_OPS
 from repro.jobs.kernels import error_from_colsums
 from repro.linalg.blocks import Matrix, RowBlock, partition_rows
 from repro.linalg.stats import sample_rows
@@ -33,7 +34,7 @@ class SequentialBackend(Backend):
         total = None
         count = 0
         for block in dataset:
-            sums, rows = self.kernels.sums(block.data)
+            sums, rows = KERNEL_OPS.sums(block.data)
             total = sums if total is None else total + sums
             count += rows
         return total / count
@@ -41,7 +42,7 @@ class SequentialBackend(Backend):
     def frobenius_centered(self, dataset: list[RowBlock], mean: np.ndarray) -> float:
         efficient = self.config.use_efficient_frobenius
         return sum(
-            self.kernels.frobenius(block.data, mean, efficient)
+            KERNEL_OPS.frobenius(block.data, mean, efficient)
             for block in dataset
         )
 
@@ -53,7 +54,7 @@ class SequentialBackend(Backend):
         xtx_total = None
         for index, block in enumerate(dataset):
             latent = self._latent_for(index)
-            ytx, xtx = self.kernels.ytx_xtx(
+            ytx, xtx = KERNEL_OPS.ytx_xtx(
                 block.data, mean, projector, latent_mean, mean_prop, latent=latent
             )
             ytx_total = ytx if ytx_total is None else ytx_total + ytx
@@ -65,7 +66,7 @@ class SequentialBackend(Backend):
         total = 0.0
         for index, block in enumerate(dataset):
             latent = self._latent_for(index)
-            total += self.kernels.ss3(
+            total += KERNEL_OPS.ss3(
                 block.data, mean, projector, latent_mean, components, mean_prop,
                 latent=latent,
             )
@@ -82,7 +83,7 @@ class SequentialBackend(Backend):
             data = block.data
             if sample_fraction < 1.0:
                 data = sample_rows(data, sample_fraction, rng)
-            parts = self.kernels.error_parts(
+            parts = KERNEL_OPS.error_parts(
                 data, mean, components, ls_projector, mean_prop
             )
             residual += parts[0]
@@ -94,7 +95,7 @@ class SequentialBackend(Backend):
     def _materialize_latent(self, dataset, mean, projector, latent_mean) -> None:
         mean_prop = self.config.use_mean_propagation
         self._materialized_latent = [
-            self.kernels.latent(block.data, mean, projector, latent_mean, mean_prop)
+            KERNEL_OPS.latent(block.data, mean, projector, latent_mean, mean_prop)
             for block in dataset
         ]
         self._intermediate_bytes += sum(

@@ -20,6 +20,7 @@ from repro.core.config import SPCAConfig
 from repro.engine.serde import sizeof
 from repro.engine.spark.context import Broadcast, SparkContext
 from repro.jobs import kernels
+from repro.jobs.backends import KERNEL_OPS
 from repro.linalg.blocks import Matrix, partition_rows
 from repro.linalg.stats import sample_rows
 
@@ -75,18 +76,17 @@ class SparkBackend(Backend):
         count = self.context.accumulator(0)
 
         def run(partition):
-            kb = self.kernels
             if self._batched(partition):
                 # One stacked kernel call and one accumulator update per
                 # partition: fewer, larger updates is exactly the combiner
                 # economy the paper's Section 4.2 argues for.
-                stacked = kb.stack([block for _, block in partition])
-                block_sums, rows = kb.sums(stacked)
+                stacked = KERNEL_OPS.stack([block for _, block in partition])
+                block_sums, rows = KERNEL_OPS.sums(stacked)
                 sums.add(block_sums)
                 count.add(rows)
                 return
             for _, block in partition:
-                block_sums, rows = kb.sums(block)
+                block_sums, rows = KERNEL_OPS.sums(block)
                 sums.add(block_sums)
                 count.add(rows)
 
@@ -99,13 +99,12 @@ class SparkBackend(Backend):
         total = self.context.accumulator(0.0)
 
         def run(partition):
-            kb = self.kernels
             if self._batched(partition):
-                stacked = kb.stack([block for _, block in partition])
-                total.add(kb.frobenius(stacked, bc_mean.value, efficient))
+                stacked = KERNEL_OPS.stack([block for _, block in partition])
+                total.add(KERNEL_OPS.frobenius(stacked, bc_mean.value, efficient))
                 return
             for _, block in partition:
-                total.add(kb.frobenius(block, bc_mean.value, efficient))
+                total.add(KERNEL_OPS.frobenius(block, bc_mean.value, efficient))
 
         self.context.run_job(rdd, run, name="FnormJob")
         return float(total.value)
@@ -131,9 +130,8 @@ class SparkBackend(Backend):
 
         def run_with_latent(partition, latent_partition):
             if self._batched(partition):
-                kb = self.kernels
-                block = kb.stack([b for _, b in partition])
-                latent = kb.stack_latents([x for _, x in latent_partition])
+                block = KERNEL_OPS.stack([b for _, b in partition])
+                latent = KERNEL_OPS.stack_latents([x for _, x in latent_partition])
                 self._accumulate_ytx(
                     block, latent, bc_projector.value, bc_mean.value,
                     bc_latent_mean.value, mean_prop, ytx_data, latent_colsum, xtx_sum,
@@ -146,11 +144,10 @@ class SparkBackend(Backend):
                 )
 
         def run(partition):
-            kb = self.kernels
             if self._batched(partition):
                 blocks = [block for _, block in partition]
-                stacked = kb.stack(blocks)
-                latent = kb.latent(
+                stacked = KERNEL_OPS.stack(blocks)
+                latent = KERNEL_OPS.latent(
                     stacked, bc_mean.value, bc_projector.value,
                     bc_latent_mean.value, mean_prop,
                 )
@@ -160,7 +157,7 @@ class SparkBackend(Backend):
                 )
                 return
             for _, block in partition:
-                latent = kb.latent(
+                latent = KERNEL_OPS.latent(
                     block, bc_mean.value, bc_projector.value,
                     bc_latent_mean.value, mean_prop,
                 )
@@ -198,18 +195,17 @@ class SparkBackend(Backend):
         latent_rdd = self._latent_for(rdd, bc_mean, bc_projector, bc_latent_mean)
 
         def partial(block, latent):
-            return self.kernels.ss3(
+            return KERNEL_OPS.ss3(
                 block, bc_mean.value, bc_projector.value, bc_latent_mean.value,
                 bc_components.value, mean_prop, latent=latent,
             )
 
         def zipped_ss3(partition, latent_partition):
             if self._batched(partition):
-                kb = self.kernels
                 total.add(
                     partial(
-                        kb.stack([b for _, b in partition]),
-                        kb.stack_latents([x for _, x in latent_partition]),
+                        KERNEL_OPS.stack([b for _, b in partition]),
+                        KERNEL_OPS.stack_latents([x for _, x in latent_partition]),
                     )
                 )
                 return (None,)
@@ -226,7 +222,7 @@ class SparkBackend(Backend):
         else:
             def run_ss3(partition):
                 if self._batched(partition):
-                    total.add(partial(self.kernels.stack([b for _, b in partition]), None))
+                    total.add(partial(KERNEL_OPS.stack([b for _, b in partition]), None))
                     return
                 for _, block in partition:
                     total.add(partial(block, None))
@@ -254,12 +250,11 @@ class SparkBackend(Backend):
         mean_prop = self.config.use_mean_propagation
 
         def run(split, partition):
-            kb = self.kernels
             if sample_fraction >= 1.0 and self._batched(partition):
                 # Sampling is seeded per record start row, so only the
                 # unsampled path can stack the whole partition.
-                stacked = kb.stack([block for _, block in partition])
-                parts = kb.error_parts(
+                stacked = KERNEL_OPS.stack([block for _, block in partition])
+                parts = KERNEL_OPS.error_parts(
                     stacked, bc_mean.value, bc_components.value,
                     bc_ls_projector.value, mean_prop,
                 )
@@ -271,7 +266,7 @@ class SparkBackend(Backend):
                     block = sample_rows(
                         block, sample_fraction, np.random.default_rng((seed, start))
                     )
-                parts = kb.error_parts(
+                parts = KERNEL_OPS.error_parts(
                     block, bc_mean.value, bc_components.value,
                     bc_ls_projector.value, mean_prop,
                 )
@@ -304,7 +299,7 @@ class SparkBackend(Backend):
             ytx_data.add(data_product)
             latent_colsum.add(np.asarray(latent.sum(axis=0)).ravel())
         else:
-            ytx, _ = self.kernels.ytx_xtx(
+            ytx, _ = KERNEL_OPS.ytx_xtx(
                 block, mean, projector, latent_mean, False, latent=latent
             )
             ytx_data.add(ytx)
@@ -332,7 +327,7 @@ class SparkBackend(Backend):
             self._latent_rdd = rdd.map(
                 lambda record: (
                     record[0],
-                    self.kernels.latent(
+                    KERNEL_OPS.latent(
                         record[1], bc_mean.value, bc_projector.value,
                         bc_latent_mean.value, mean_prop,
                     ),

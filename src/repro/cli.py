@@ -404,14 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(default: CPU count, capped at 8)",
         )
         parallel.add_argument(
-            "--kernel-backend", choices=("numpy", "fused", "numba"),
-            default=None,
-            help="per-block kernel implementation: numpy (default), fused "
-                 "(shared intermediates, bitwise identical), or numba "
-                 "(compiled; falls back to numpy when not installed). "
-                 "On resume the default keeps the checkpoint's choice.",
-        )
-        parallel.add_argument(
             "--worker-resident", action="store_true",
             help="pin input splits in the executor's resident store so "
                  "iterations after the first ship only the small model "
@@ -581,7 +573,6 @@ def _cmd_fit(args) -> int:
         tolerance=args.tolerance,
         seed=args.seed,
         smart_init=args.smart_init,
-        kernel_backend=args.kernel_backend or "numpy",
     )
     executor = _make_executor(args)
     backend = _make_backend(
@@ -626,6 +617,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_resume(args) -> int:
     from repro.core import DirectoryCheckpointStore
+    from repro.core.config import checkpointed_config
 
     matrix = load_matrix(args.input)
     store = DirectoryCheckpointStore(args.checkpoint)
@@ -633,11 +625,7 @@ def _cmd_resume(args) -> int:
     if newest is None:
         print(f"error: no checkpoints in {args.checkpoint}", file=sys.stderr)
         return 2
-    config = SPCAConfig(**newest.config)
-    if args.kernel_backend is not None:
-        # An execution detail, not part of the checkpointed math: a resume
-        # may finish a numpy fit with the fused kernels bit-identically.
-        config = config.with_options(kernel_backend=args.kernel_backend)
+    config = SPCAConfig(**checkpointed_config(newest.config))
     executor = _make_executor(args)
     backend = _make_backend(
         args.backend, config, faults_path=args.faults, executor=executor,

@@ -46,12 +46,6 @@ class SPCAConfig:
         smart_init_iterations: EM iterations to spend on the sample.
         compute_error_every_iteration: set False to skip per-iteration error
             estimation (cheaper when only the final model matters).
-        kernel_backend: which per-block kernel implementation the backends
-            dispatch to -- ``"numpy"`` (the baseline), ``"fused"``
-            (hand-fused numpy sharing intermediates across kernels, bitwise
-            identical), or ``"numba"`` (optional compiled dense kernels;
-            falls back to numpy with a warning when the package is
-            missing).  See :mod:`repro.jobs.backends`.
     """
 
     n_components: int
@@ -69,7 +63,6 @@ class SPCAConfig:
     smart_init_fraction: float = 0.05
     smart_init_iterations: int = 5
     compute_error_every_iteration: bool = True
-    kernel_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.n_components < 1:
@@ -86,16 +79,6 @@ class SPCAConfig:
             )
         if self.tolerance < 0.0:
             raise ShapeError(f"tolerance must be >= 0, got {self.tolerance}")
-        # Imported lazily: jobs.backends pulls in the kernel layer, which
-        # must not load just because a config dataclass was imported.
-        from repro.errors import ConfigError
-        from repro.jobs.backends import KERNEL_BACKEND_NAMES
-
-        if self.kernel_backend not in KERNEL_BACKEND_NAMES:
-            raise ConfigError(
-                f"unknown kernel backend {self.kernel_backend!r}; valid "
-                f"choices: {', '.join(KERNEL_BACKEND_NAMES)}"
-            )
 
     def unoptimized(self) -> "SPCAConfig":
         """Return a copy with every Section 3 optimization disabled."""
@@ -110,6 +93,16 @@ class SPCAConfig:
     def with_options(self, **kwargs) -> "SPCAConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
+
+
+#: Fields that older releases wrote into checkpointed configs and that no
+#: longer exist; :func:`checkpointed_config` drops them on resume.
+RETIRED_FIELDS: tuple[str, ...] = ("kernel_backend",)
+
+
+def checkpointed_config(stored: dict) -> dict:
+    """A checkpoint's stored ``asdict(SPCAConfig)`` minus retired fields."""
+    return {key: value for key, value in stored.items() if key not in RETIRED_FIELDS}
 
 
 # Field names of the ablatable optimizations, for the Table 3 harness.

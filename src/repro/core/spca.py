@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.config import SPCAConfig
+from repro.core.config import SPCAConfig, checkpointed_config
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (backends need core)
     from repro.backends.base import Backend
@@ -82,8 +82,6 @@ class SPCA:
             n_features=n_features,
             n_components=config.n_components,
             backend=type(self.backend).__name__,
-            kernel_backend=config.kernel_backend,
-            kernel_backend_resolved=self.backend.kernels.name,
         ) as run_span:
             model, history = self._fit_traced(
                 data, tracer, checkpoint=self._as_policy(checkpoint)
@@ -120,15 +118,7 @@ class SPCA:
         ckpt = store.load_latest()
         if ckpt is None:
             raise CheckpointError("checkpoint store is empty; nothing to resume")
-        stored_config = dict(ckpt.config)
-        current_config = asdict(config)
-        # kernel_backend selects an implementation, not different math: every
-        # backend is bitwise equal (or tolerance-tested, for numba), so a
-        # resume may switch it -- and checkpoints written before the field
-        # existed stay resumable.
-        stored_config.pop("kernel_backend", None)
-        current_config.pop("kernel_backend", None)
-        if stored_config != current_config:
+        if checkpointed_config(ckpt.config) != asdict(config):
             raise CheckpointError(
                 "checkpoint was written under a different configuration: "
                 f"stored {ckpt.config!r} vs current {asdict(config)!r}"
@@ -149,8 +139,6 @@ class SPCA:
             n_features=n_features,
             n_components=config.n_components,
             backend=type(self.backend).__name__,
-            kernel_backend=config.kernel_backend,
-            kernel_backend_resolved=self.backend.kernels.name,
             resumed_from_iteration=ckpt.iteration,
         ) as run_span:
             model, history = self._fit_traced(

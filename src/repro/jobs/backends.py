@@ -1,85 +1,23 @@
-"""Pluggable kernel backends behind the :mod:`repro.jobs.kernels` API.
+"""The one kernel-ops object every sPCA mapper and partition closure calls.
 
-Three implementations of the per-block sPCA kernels:
-
-``numpy``
-    The existing kernels, called one at a time.  Always available and always
-    the fallback; every other backend is validated bitwise (or within a
-    documented tolerance, for ``numba``) against it.
-
-``fused``
-    Hand-fused numpy.  The per-block work of one EM iteration -- latent
-    recomputation, YtX/XtX, ss3, and the error kernel -- shares its big
-    intermediates instead of recomputing them per kernel call: the
-    densified-centered block is built once (via the bounded memo in
-    :mod:`repro.jobs.kernels`), the latent block ``X = Yc * CM`` computed for
-    YtXJob is reused verbatim by ss3Job of the same iteration (the C update
-    between the two jobs does not touch the projector CM, so the recomputed
-    value would be bit-identical), and a stacked batch block is built once
-    per split per fit instead of once per job per iteration.  All arithmetic
-    runs through the same numpy expressions as the ``numpy`` backend, so
-    results are **bitwise identical** -- the memos only skip recomputation
-    that would reproduce the exact same bytes.
-
-``numba``
-    Optional ``@njit``-compiled dense kernels (single fused pass per block:
-    centering, projection, and accumulation in one loop nest, no dense
-    intermediate materialized).  Importing numba is guarded: when the
-    package is missing, :func:`resolve_kernel_backend` warns once and
-    answers with the ``numpy`` backend, and the resolved name is what lands
-    in trace spans and BENCH provenance.  Sparse blocks always take the
-    numpy path (numba has no scipy.sparse support).  Compiled loops reorder
-    floating-point accumulation relative to BLAS, so numba results match
-    numpy only within a tolerance (see ``NUMBA_RTOL``); on integer-valued
-    inputs whose magnitudes stay inside the float64 exact range the
-    arithmetic is exact and results agree bit-for-bit, which is what the
-    equivalence suite asserts.
-
-Memory trade-off: the fused backend's memos are bounded LRU caches
-(:class:`~repro.jobs.kernels.BoundedIdentityMemo`); at the default limits
-they hold at most one extra stacked copy of the dataset plus one latent
-block per split -- the same order of intermediate state the batched pipeline
-already materializes transiently per task, just kept alive across kernel
-calls instead of rebuilt.
+:data:`KERNEL_OPS` bundles the per-block operations of one EM iteration --
+column sums, Frobenius share, latent recomputation, YtX/XtX, ss3, the error
+parts, and record stacking -- as thin delegates to the functions in
+:mod:`repro.jobs.kernels`.  There is exactly one implementation; callers
+look each op up on this object at call time, so a test or benchmark can
+shadow an op with an instance attribute (for example, to time or count
+kernel calls) and every engine sees the substitute.
 """
 
 from __future__ import annotations
 
-import warnings
-
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.jobs import kernels
-from repro.linalg.blocks import Matrix, is_sparse
-from repro.linalg.centered import centered_times
-
-KERNEL_BACKEND_NAMES = ("numpy", "fused", "numba")
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:
-    _njit = None
-    NUMBA_AVAILABLE = False
-
-#: Relative tolerance for numba-vs-numpy float comparisons.  The compiled
-#: loops accumulate in a different order than BLAS; for well-conditioned
-#: PCA inputs the divergence stays within a few ulps of the summation,
-#: and 1e-10 relative is a comfortable envelope for the shapes tested.
-NUMBA_RTOL = 1e-10
+from repro.linalg.blocks import Matrix
 
 
-class KernelBackend:
-    """The per-block kernel operations one mapper/partition closure needs.
-
-    The base class *is* the numpy backend: every op delegates straight to
-    the existing :mod:`repro.jobs.kernels` functions, which keeps the
-    default path byte-for-byte the pre-backend code.
-    """
-
-    name = "numpy"
+class KernelOps:
+    """The per-block kernel operations, delegating to :mod:`repro.jobs.kernels`."""
 
     def sums(self, block: Matrix):
         return kernels.block_sums(block)
@@ -125,351 +63,17 @@ class KernelBackend:
     def stack_latents(self, latents: list):
         return kernels.stack_latents(latents)
 
-    def clear(self) -> None:
-        """Drop any memoized intermediates (tests / benchmark isolation)."""
+
+#: The process-wide kernel-ops object.
+KERNEL_OPS = KernelOps()
 
 
-class NumpyKernelBackend(KernelBackend):
-    """The current per-kernel code path; the equivalence baseline."""
-
-
-class FusedKernelBackend(KernelBackend):
-    """Hand-fused numpy: share intermediates across kernels of one pass.
-
-    Three memos, all identity-keyed against the input block (and value-keyed
-    against the small model matrices, which the driver rebuilds per
-    dispatch):
-
-    - *stacks*: a split's fine-grained records are vstacked once per fit
-      rather than once per job per iteration;
-    - *latents*: the ``X = Yc * CM`` block computed in YtXJob is returned
-      verbatim to ss3Job of the same iteration (identical inputs -> the
-      recomputation would be bit-identical);
-    - the densified-centered intermediate is shared via the memo inside
-      :mod:`repro.jobs.kernels`, plus a raw-dense memo for the error
-      kernel's uncentered copy.
-    """
-
-    name = "fused"
-
-    def __init__(self, memo_limit: int = 256):
-        self._stacks = kernels.BoundedIdentityMemo(limit=memo_limit)
-        self._latents = kernels.BoundedIdentityMemo(limit=memo_limit)
-        self._dense = kernels.BoundedIdentityMemo(limit=memo_limit)
-
-    def stack(self, blocks: list):
-        if len(blocks) <= 1:
-            return kernels.stack_blocks(blocks)
-        key = tuple(id(block) for block in blocks)
-        hit = self._stacks.get(key, tuple(blocks))
-        if hit is not None:
-            return hit
-        value = kernels.stack_blocks(blocks)
-        self._stacks.put(key, tuple(blocks), value)
-        return value
-
-    def latent(self, block, mean, projector, latent_mean, mean_propagation):
-        key = (
-            id(block),
-            bool(mean_propagation),
-            projector.tobytes(),
-            latent_mean.tobytes(),
-            mean.tobytes(),
-        )
-        hit = self._latents.get(key, (block,))
-        if hit is not None:
-            return hit
-        value = kernels.block_latent(
-            block, mean, projector, latent_mean, mean_propagation
-        )
-        self._latents.put(key, (block,), value)
-        return value
-
-    def ytx_xtx(
-        self, block, mean, projector, latent_mean, mean_propagation, latent=None
-    ):
-        if latent is None:
-            latent = self.latent(block, mean, projector, latent_mean, mean_propagation)
-        return kernels.block_ytx_xtx(
-            block, mean, projector, latent_mean, mean_propagation, latent=latent
-        )
-
-    def ss3(
-        self,
-        block,
-        mean,
-        projector,
-        latent_mean,
-        components,
-        mean_propagation,
-        latent=None,
-    ) -> float:
-        if latent is None:
-            # Cache hit from this iteration's YtXJob: CM and Xm are computed
-            # before the C update, so the latent block is identical.
-            latent = self.latent(block, mean, projector, latent_mean, mean_propagation)
-        return kernels.block_ss3(
-            block, mean, projector, latent_mean, components,
-            mean_propagation, latent=latent,
-        )
-
-    def error_parts(self, block, mean, components, ls_projector, mean_propagation):
-        # Fused: one densify serves both the least-squares latent (via the
-        # shared centered memo) and the residual pass, instead of the two
-        # separate densifies of the per-kernel path.
-        if mean_propagation:
-            latent = centered_times(block, mean, ls_projector)
-        else:
-            latent = kernels._densify_centered(block, mean) @ ls_projector
-        reconstruction = latent @ components.T + mean
-        dense = self._densify(block)
-        residual_colsums = np.abs(dense - reconstruction).sum(axis=0)
-        magnitude_colsums = np.abs(dense).sum(axis=0)
-        return residual_colsums, magnitude_colsums
-
-    def _densify(self, block):
-        if not is_sparse(block):
-            return np.asarray(block, dtype=np.float64)
-        key = (id(block),)
-        hit = self._dense.get(key, (block,))
-        if hit is not None:
-            return hit
-        value = np.asarray(block.todense())
-        self._dense.put(key, (block,), value)
-        return value
-
-    def clear(self) -> None:
-        self._stacks.clear()
-        self._latents.clear()
-        self._dense.clear()
-
-
-# -- numba ------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:  # pragma: no cover - requires the optional extra
-
-    @_njit(cache=True)
-    def _nb_latent(dense, mean, projector, latent_mean, mean_propagation):
-        rows, cols = dense.shape
-        d = projector.shape[1]
-        out = np.zeros((rows, d))
-        for i in range(rows):
-            for j in range(cols):
-                value = dense[i, j] if mean_propagation else dense[i, j] - mean[j]
-                for k in range(d):
-                    out[i, k] += value * projector[j, k]
-            if mean_propagation:
-                for k in range(d):
-                    out[i, k] -= latent_mean[k]
-        return out
-
-    @_njit(cache=True)
-    def _nb_ytx_xtx(dense, mean, latent):
-        rows, cols = dense.shape
-        d = latent.shape[1]
-        ytx = np.zeros((cols, d))
-        xtx = np.zeros((d, d))
-        for i in range(rows):
-            for j in range(cols):
-                centered = dense[i, j] - mean[j]
-                for k in range(d):
-                    ytx[j, k] += centered * latent[i, k]
-            for k in range(d):
-                for l in range(d):
-                    xtx[k, l] += latent[i, k] * latent[i, l]
-        return ytx, xtx
-
-    @_njit(cache=True)
-    def _nb_ss3(dense, mean, latent, components):
-        rows, cols = dense.shape
-        d = latent.shape[1]
-        total = 0.0
-        for i in range(rows):
-            for k in range(d):
-                projected = 0.0
-                for j in range(cols):
-                    projected += (dense[i, j] - mean[j]) * components[j, k]
-                total += latent[i, k] * projected
-        return total
-
-    @_njit(cache=True)
-    def _nb_error_parts(dense, mean, latent, components):
-        rows, cols = dense.shape
-        d = latent.shape[1]
-        residual = np.zeros(cols)
-        magnitude = np.zeros(cols)
-        for i in range(rows):
-            for j in range(cols):
-                reconstruction = mean[j]
-                for k in range(d):
-                    reconstruction += latent[i, k] * components[j, k]
-                residual[j] += abs(dense[i, j] - reconstruction)
-                magnitude[j] += abs(dense[i, j])
-        return residual, magnitude
-
-
-class NumbaKernelBackend(FusedKernelBackend):
-    """``@njit``-compiled dense kernels; sparse blocks take the fused path.
-
-    Construction compiles (or loads from numba's on-disk cache, thanks to
-    ``cache=True``) every kernel on tiny warm-up inputs, so the first real
-    block never pays JIT latency inside a timed region.
-    """
-
-    name = "numba"
-
-    def __init__(self, memo_limit: int = 256):
-        if not NUMBA_AVAILABLE:
-            raise ConfigError(
-                "kernel backend 'numba' requires the numba package; "
-                "install the 'numba' extra or use 'numpy'/'fused'"
-            )
-        super().__init__(memo_limit=memo_limit)
-        self._warmup()
-
-    def _warmup(self) -> None:  # pragma: no cover - requires the extra
-        dense = np.ones((2, 3))
-        mean = np.zeros(3)
-        small = np.ones((3, 2))
-        latent = _nb_latent(dense, mean, small, np.zeros(2), True)
-        _nb_latent(dense, mean, small, np.zeros(2), False)
-        _nb_ytx_xtx(dense, mean, latent)
-        _nb_ss3(dense, mean, latent, small)
-        _nb_error_parts(dense, mean, latent, small)
-
-    def latent(self, block, mean, projector, latent_mean, mean_propagation):
-        if is_sparse(block):
-            return super().latent(
-                block, mean, projector, latent_mean, mean_propagation
-            )
-        key = (
-            id(block),
-            bool(mean_propagation),
-            projector.tobytes(),
-            latent_mean.tobytes(),
-            mean.tobytes(),
-        )
-        hit = self._latents.get(key, (block,))
-        if hit is not None:
-            return hit
-        value = _nb_latent(
-            np.ascontiguousarray(block, dtype=np.float64),
-            mean, projector, latent_mean, bool(mean_propagation),
-        )
-        self._latents.put(key, (block,), value)
-        return value
-
-    def ytx_xtx(
-        self, block, mean, projector, latent_mean, mean_propagation, latent=None
-    ):
-        if is_sparse(block):
-            return super().ytx_xtx(
-                block, mean, projector, latent_mean, mean_propagation, latent=latent
-            )
-        if latent is None:
-            latent = self.latent(block, mean, projector, latent_mean, mean_propagation)
-        return _nb_ytx_xtx(
-            np.ascontiguousarray(block, dtype=np.float64), mean,
-            np.ascontiguousarray(latent),
-        )
-
-    def ss3(
-        self,
-        block,
-        mean,
-        projector,
-        latent_mean,
-        components,
-        mean_propagation,
-        latent=None,
-    ) -> float:
-        if is_sparse(block):
-            return super().ss3(
-                block, mean, projector, latent_mean, components,
-                mean_propagation, latent=latent,
-            )
-        if latent is None:
-            latent = self.latent(block, mean, projector, latent_mean, mean_propagation)
-        return float(
-            _nb_ss3(
-                np.ascontiguousarray(block, dtype=np.float64), mean,
-                np.ascontiguousarray(latent), components,
-            )
-        )
-
-    def error_parts(self, block, mean, components, ls_projector, mean_propagation):
-        if is_sparse(block):
-            return super().error_parts(
-                block, mean, components, ls_projector, mean_propagation
-            )
-        # Both mean-propagation branches least-squares-project the *centered*
-        # rows; the flag only changes how the numpy path avoids densifying,
-        # which is moot once the block is already dense.
-        dense = np.ascontiguousarray(block, dtype=np.float64)
-        latent = _nb_latent(
-            dense, mean, ls_projector, np.zeros(ls_projector.shape[1]), False
-        )
-        return _nb_error_parts(dense, mean, np.ascontiguousarray(latent), components)
-
-
-# -- resolution -------------------------------------------------------------
-
-_RESOLVED: dict[str, KernelBackend] = {}
-_WARNED_NUMBA_FALLBACK = False
-
-
-def resolve_kernel_backend(name: str = "numpy") -> KernelBackend:
-    """Return the (process-wide, memoized) kernel backend named *name*.
+def resolve_kernel_backend(name: str = "numpy") -> KernelOps:
+    """Return :data:`KERNEL_OPS`, the only kernels there are.
 
     Raises:
-        ConfigError: for an unknown name; the message lists valid choices.
-
-    A request for ``numba`` on a machine without the package warns once per
-    process and falls back to ``numpy``; callers stamp the *resolved*
-    backend's ``.name`` into traces and BENCH provenance so a silent
-    fallback is never mistaken for a compiled run.
+        ConfigError: for any *name* other than ``"numpy"``.
     """
-    global _WARNED_NUMBA_FALLBACK
-    if name not in KERNEL_BACKEND_NAMES:
-        raise ConfigError(
-            f"unknown kernel backend {name!r}; valid choices: "
-            f"{', '.join(KERNEL_BACKEND_NAMES)}"
-        )
-    backend = _RESOLVED.get(name)
-    if backend is not None:
-        return backend
-    if name == "numba" and not NUMBA_AVAILABLE:
-        if not _WARNED_NUMBA_FALLBACK:
-            warnings.warn(
-                "numba is not installed; kernel backend 'numba' falls back "
-                "to 'numpy' (install the 'numba' extra for compiled kernels)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _WARNED_NUMBA_FALLBACK = True
-        backend = resolve_kernel_backend("numpy")
-        _RESOLVED["numba"] = backend
-        return backend
-    if name == "numpy":
-        backend = NumpyKernelBackend()
-    elif name == "fused":
-        backend = FusedKernelBackend()
-    else:
-        backend = NumbaKernelBackend()
-    _RESOLVED[name] = backend
-    return backend
-
-
-def kernel_backend_from_config(config: dict) -> KernelBackend:
-    """The backend a mapper/partition closure should use for this job."""
-    return resolve_kernel_backend(config.get("kernel_backend", "numpy"))
-
-
-def clear_kernel_backends() -> None:
-    """Drop memoized backend instances and their caches (test isolation)."""
-    global _WARNED_NUMBA_FALLBACK
-    for backend in _RESOLVED.values():
-        backend.clear()
-    _RESOLVED.clear()
-    _WARNED_NUMBA_FALLBACK = False
-    kernels.clear_densify_memo()
+    if name != "numpy":
+        raise ConfigError(f"unknown kernels {name!r}; the only kernels are 'numpy'")
+    return KERNEL_OPS

@@ -14,10 +14,6 @@ is what Table 3 measures.
 
 from __future__ import annotations
 
-import threading
-import weakref
-from collections import OrderedDict
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -29,93 +25,12 @@ from repro.linalg.multiply import xcy_block
 from repro.lint.contracts import contract
 
 
-class BoundedIdentityMemo:
-    """An LRU memo whose keys embed ``id()`` of live anchor objects.
-
-    ``id()`` keys are only meaningful while the anchor object is alive, so
-    every entry stores weak references to its anchors and a hit is honoured
-    only when each weakref still resolves to the identical object -- the same
-    validation scheme as the ``sizeof`` cache.  The LRU bound caps memory:
-    one job chain touches each input block a handful of times, so a few
-    hundred entries cover every split of a fit without ever holding more
-    than one extra copy of the dataset.
-    """
-
-    def __init__(self, limit: int = 256):
-        if limit < 1:
-            raise ValueError(f"memo limit must be >= 1, got {limit}")
-        self.limit = limit
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, tuple[tuple, object]]" = OrderedDict()
-
-    def get(self, key: tuple, anchors: tuple):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            refs, value = entry
-            if len(refs) != len(anchors) or any(
-                ref() is not anchor for ref, anchor in zip(refs, anchors)
-            ):
-                # A recycled id(): the original anchor died and the
-                # interpreter reused its address for a different object.
-                del self._entries[key]
-                return None
-            self._entries.move_to_end(key)
-            return value
-
-    def put(self, key: tuple, anchors: tuple, value) -> None:
-        try:
-            refs = tuple(weakref.ref(anchor) for anchor in anchors)
-        except TypeError:
-            return  # non-weakrefable anchor: identity cannot be validated
-        with self._lock:
-            self._entries[key] = (refs, value)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.limit:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 def _densify(block: Matrix) -> np.ndarray:
     return (
         np.asarray(block.todense())
         if is_sparse(block)
         else np.asarray(block, dtype=np.float64)
     )
-
-
-# The densified-centered intermediate of the mean_propagation=False ablation
-# is needed by up to three kernels per block per iteration (latent, YtX,
-# ss3/error) and -- because the mean never changes across EM iterations -- is
-# identical every time.  Memoizing it here means the plain numpy path pays
-# the O(b*D) densify once per block instead of once per kernel call.  The
-# mean rides in the key by value (``tobytes`` of a length-D vector is cheap
-# next to the densify) because the driver rebuilds the mean object on every
-# dispatch.
-_DENSIFY_MEMO = BoundedIdentityMemo(limit=256)
-
-
-def clear_densify_memo() -> None:
-    """Drop the densified-centered memo (tests and benchmark isolation)."""
-    _DENSIFY_MEMO.clear()
-
-
-def _densify_centered(block: Matrix, mean: np.ndarray) -> np.ndarray:
-    key = (id(block), mean.tobytes())
-    hit = _DENSIFY_MEMO.get(key, (block,))
-    if hit is not None:
-        return hit
-    value = _densify(block) - mean
-    _DENSIFY_MEMO.put(key, (block,), value)
-    return value
 
 
 def stack_blocks(blocks: list[Matrix]) -> Matrix:
@@ -136,13 +51,7 @@ def stack_blocks(blocks: list[Matrix]) -> Matrix:
         return blocks[0]
     if all(is_sparse(block) for block in blocks):
         return sp.vstack(blocks, format="csr")
-    return np.vstack(
-        [
-            np.asarray(block.todense()) if is_sparse(block) else
-            np.asarray(block, dtype=np.float64)
-            for block in blocks
-        ]
-    )
+    return np.vstack([_densify(block) for block in blocks])
 
 
 def stack_latents(latents: list[np.ndarray]) -> np.ndarray:
@@ -195,7 +104,7 @@ def block_latent(
     """
     if mean_propagation:
         return np.asarray(block @ projector) - latent_mean
-    return _densify_centered(block, mean) @ projector
+    return (_densify(block) - mean) @ projector
 
 
 @contract(
@@ -225,7 +134,7 @@ def block_ytx_xtx(
     if mean_propagation:
         ytx = centered_transpose_times(block, mean, latent)
     else:
-        ytx = _densify_centered(block, mean).T @ latent
+        ytx = (_densify(block) - mean).T @ latent
     xtx = latent.T @ latent
     return ytx, xtx
 
@@ -260,7 +169,7 @@ def block_ss3(
         data_part = xcy_block(latent, components, block)
         mean_part = float(latent.sum(axis=0) @ (components.T @ mean))
         return data_part - mean_part
-    return xcy_block(latent, components, _densify_centered(block, mean))
+    return xcy_block(latent, components, _densify(block) - mean)
 
 
 @contract(
@@ -290,9 +199,9 @@ def block_error_parts(
     if mean_propagation:
         latent = centered_times(block, mean, ls_projector)
     else:
-        latent = _densify_centered(block, mean) @ ls_projector
+        latent = (_densify(block) - mean) @ ls_projector
     reconstruction = latent @ components.T + mean
-    dense = np.asarray(block.todense()) if is_sparse(block) else np.asarray(block, dtype=np.float64)
+    dense = _densify(block)
     residual_colsums = np.abs(dense - reconstruction).sum(axis=0)
     magnitude_colsums = np.abs(dense).sum(axis=0)
     return residual_colsums, magnitude_colsums

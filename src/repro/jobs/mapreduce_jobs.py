@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.mapreduce.api import Mapper, Reducer
-from repro.jobs.backends import kernel_backend_from_config
+from repro.jobs.backends import KERNEL_OPS
 from repro.linalg.stats import sample_rows
 
 KEY_SUMS = "mean/sums"
@@ -49,16 +49,15 @@ class MeanMapper(Mapper):
         self.count = 0
 
     def map(self, key, value, ctx):
-        sums, rows = kernel_backend_from_config(ctx.config).sums(value)
+        sums, rows = KERNEL_OPS.sums(value)
         self.sums = sums if self.sums is None else self.sums + sums
         self.count += rows
         return ()
 
     def map_batch(self, records, ctx):
         if records:
-            kb = kernel_backend_from_config(ctx.config)
-            stacked = kb.stack([value for _, value in records])
-            sums, rows = kb.sums(stacked)
+            stacked = KERNEL_OPS.stack([value for _, value in records])
+            sums, rows = KERNEL_OPS.sums(stacked)
             self.sums = sums if self.sums is None else self.sums + sums
             self.count += rows
         return []
@@ -79,16 +78,15 @@ class FnormMapper(Mapper):
         self.total = 0.0
 
     def map(self, key, value, ctx):
-        self.total += kernel_backend_from_config(ctx.config).frobenius(
+        self.total += KERNEL_OPS.frobenius(
             value, ctx.config["mean"], ctx.config["efficient"]
         )
         return ()
 
     def map_batch(self, records, ctx):
         if records:
-            kb = kernel_backend_from_config(ctx.config)
-            stacked = kb.stack([value for _, value in records])
-            self.total += kb.frobenius(
+            stacked = KERNEL_OPS.stack([value for _, value in records])
+            self.total += KERNEL_OPS.frobenius(
                 stacked, ctx.config["mean"], ctx.config["efficient"]
             )
         return []
@@ -129,21 +127,19 @@ class YtXMapper(Mapper):
                 block, latent = _split_value(value)
                 blocks.append(block)
                 latents.append(latent)
-            kb = kernel_backend_from_config(ctx.config)
             stacked_latent = (
-                kb.stack_latents(latents) if latents[0] is not None else None
+                KERNEL_OPS.stack_latents(latents) if latents[0] is not None else None
             )
-            self._consume(kb.stack(blocks), stacked_latent, ctx)
+            self._consume(KERNEL_OPS.stack(blocks), stacked_latent, ctx)
         return []
 
     def _consume(self, block, latent, ctx):
         import scipy.sparse as sp
 
         config = ctx.config
-        kb = kernel_backend_from_config(config)
         mean_prop = config["mean_propagation"]
         if latent is None:
-            latent = kb.latent(
+            latent = KERNEL_OPS.latent(
                 block, config["mean"], config["projector"],
                 config["latent_mean"], mean_prop,
             )
@@ -155,12 +151,12 @@ class YtXMapper(Mapper):
                 else self.xsum_partial + latent.sum(axis=0)
             )
         elif mean_prop:
-            ytx = kb.ytx_xtx(
+            ytx = KERNEL_OPS.ytx_xtx(
                 block, config["mean"], config["projector"],
                 config["latent_mean"], True, latent=latent,
             )[0]
         else:
-            ytx = kb.ytx_xtx(
+            ytx = KERNEL_OPS.ytx_xtx(
                 block, config["mean"], config["projector"],
                 config["latent_mean"], False, latent=latent,
             )[0]
@@ -202,7 +198,7 @@ class NaiveYtXMapper(YtXMapper):
     # the pre-optimization dataflow that YtXMapper's cleanup combiner fixes.
     def map(self, key, value, ctx):  # repro-lint: disable=DF004
         block, latent = _split_value(value)
-        ytx, xtx = kernel_backend_from_config(ctx.config).ytx_xtx(
+        ytx, xtx = KERNEL_OPS.ytx_xtx(
             block,
             ctx.config["mean"],
             ctx.config["projector"],
@@ -228,7 +224,7 @@ class XMaterializeMapper(Mapper):
     """
 
     def map(self, key, value, ctx):
-        latent = kernel_backend_from_config(ctx.config).latent(
+        latent = KERNEL_OPS.latent(
             value,
             ctx.config["mean"],
             ctx.config["projector"],
@@ -242,11 +238,10 @@ class XMaterializeMapper(Mapper):
         # their Y blocks by start row), so the batch path keeps per-record
         # kernel calls and only drops the per-record generator machinery.
         config = ctx.config
-        kb = kernel_backend_from_config(config)
         return [
             (
                 key,
-                kb.latent(
+                KERNEL_OPS.latent(
                     value, config["mean"], config["projector"],
                     config["latent_mean"], config["mean_propagation"],
                 ),
@@ -266,7 +261,7 @@ class SS3Mapper(Mapper):
 
     def map(self, key, value, ctx):
         block, latent = _split_value(value)
-        self.total += kernel_backend_from_config(ctx.config).ss3(
+        self.total += KERNEL_OPS.ss3(
             block,
             ctx.config["mean"],
             ctx.config["projector"],
@@ -284,16 +279,15 @@ class SS3Mapper(Mapper):
                 block, latent = _split_value(value)
                 blocks.append(block)
                 latents.append(latent)
-            kb = kernel_backend_from_config(ctx.config)
-            self.total += kb.ss3(
-                kb.stack(blocks),
+            self.total += KERNEL_OPS.ss3(
+                KERNEL_OPS.stack(blocks),
                 ctx.config["mean"],
                 ctx.config["projector"],
                 ctx.config["latent_mean"],
                 ctx.config["components"],
                 ctx.config["mean_propagation"],
                 latent=(
-                    kb.stack_latents(latents)
+                    KERNEL_OPS.stack_latents(latents)
                     if latents[0] is not None
                     else None
                 ),
@@ -321,7 +315,7 @@ class ErrorMapper(Mapper):
         if fraction < 1.0:
             rng = np.random.default_rng((ctx.config["seed"], ctx.task_id, key))
             block = sample_rows(block, fraction, rng)
-        residual, magnitude = kernel_backend_from_config(ctx.config).error_parts(
+        residual, magnitude = KERNEL_OPS.error_parts(
             block,
             ctx.config["mean"],
             ctx.config["components"],
@@ -338,9 +332,8 @@ class ErrorMapper(Mapper):
             # which rows get sampled, so keep the per-record path.
             return Mapper.map_batch(self, records, ctx)
         if records:
-            kb = kernel_backend_from_config(ctx.config)
-            stacked = kb.stack([value for _, value in records])
-            residual, magnitude = kb.error_parts(
+            stacked = KERNEL_OPS.stack([value for _, value in records])
+            residual, magnitude = KERNEL_OPS.error_parts(
                 stacked,
                 ctx.config["mean"],
                 ctx.config["components"],

@@ -3,8 +3,7 @@
 The static EX rules check one module at a time; this harness checks the
 *running* system.  It wraps an engine's executor in an instrumented shadow,
 records every access to driver-visible shared state (``BlockManager``,
-``EngineMetrics``, fault counters, accumulators, the ``sizeof`` memo, the
-lost-block set) with the identity of the task that made it, and builds a
+``EngineMetrics``, fault counters, accumulators, the lost-block set) with the identity of the task that made it, and builds a
 happens-before relation from the execute/commit split:
 
 - each ``run_tasks`` batch is one **epoch**; tasks inside an epoch are
@@ -13,12 +12,9 @@ happens-before relation from the execute/commit split:
   scopes in index order -- is ordered against every task, so its accesses
   can never race and are not recorded.
 
-Any *write* to commit-ordered state from inside a task is therefore a
-protocol violation on its own (the commit loop could interleave with it),
-and two tasks touching the same key with at least one write is a race.  The
-``sizeof`` memo gets a weaker, idempotent policy: concurrent writes are fine
-as long as every task writes the same size for the same identity key --
-exactly the property the identity-validated memoization relies on.
+Every watched object is commit-ordered: any *write* from inside a task is
+a protocol violation on its own (the commit loop could interleave with it),
+and two tasks touching the same key with at least one write is a race.
 
 Process-pool note: instrumentation lives in driver-process memory, so the
 checker shadows a ``processes`` executor with its in-process thread sibling
@@ -34,27 +30,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.engine import serde
 from repro.engine.exec.base import TaskExecutor
-
-#: Access policies, per watched object.
-POLICY_COMMIT_ORDERED = "commit-ordered"  # in-task writes are violations
-POLICY_IDEMPOTENT = "idempotent"  # in-task writes must agree on the value
 
 #: Wildcard key: conflicts with every other key of the same object.
 WILDCARD_KEY = "*"
-
-#: Default policy per watched object label.  Everything driver-owned is
-#: commit-ordered; the sizeof memo tolerates concurrent writes so long as
-#: they agree on the value (identity-validated memoization).
-DEFAULT_POLICIES: dict[str, str] = {
-    "BlockManager": POLICY_COMMIT_ORDERED,
-    "EngineMetrics": POLICY_COMMIT_ORDERED,
-    "JobStats.faults": POLICY_COMMIT_ORDERED,
-    "Accumulator": POLICY_COMMIT_ORDERED,
-    "lost_blocks": POLICY_COMMIT_ORDERED,
-    "sizeof_memo": POLICY_IDEMPOTENT,
-}
 
 
 @dataclass(frozen=True)
@@ -74,7 +53,7 @@ class Access:
 class RaceConflict:
     """One happens-before violation found by the analysis."""
 
-    kind: str  # "unscoped-write" | "conflicting-write" | "race"
+    kind: str  # "unscoped-write" | "race"
     obj: str
     key: Any
     epoch_label: str
@@ -111,8 +90,6 @@ class RaceRecorder:
         self._accesses: list[Access] = []
         self._epoch = 0
         self._epoch_label = ""
-        #: obj label -> policy (unknown labels default to commit-ordered)
-        self.policies: dict[str, str] = dict(DEFAULT_POLICIES)
 
     # -- identity ---------------------------------------------------------
 
@@ -168,10 +145,6 @@ class RaceRecorder:
                     (access.epoch, access.obj, access.key), []
                 ).append(access)
 
-        def seen_key(group: list[Access]) -> tuple[str, Any, str]:
-            first = group[0]
-            return first.epoch_label, first.key, first.obj
-
         reported: set[tuple[str, str, Any, str]] = set()
 
         def emit(kind: str, group: list[Access], detail: str) -> None:
@@ -192,35 +165,23 @@ class RaceRecorder:
             )
 
         for group in by_group.values():
-            obj = group[0].obj
-            policy = self.policies.get(obj, POLICY_COMMIT_ORDERED)
             writes = [access for access in group if access.op == "write"]
-            tasks = {access.task for access in group}
-            if policy == POLICY_COMMIT_ORDERED:
-                if writes:
-                    emit(
-                        "unscoped-write",
-                        writes,
-                        "a task wrote commit-ordered driver state directly; "
-                        "it must stage the effect in its scope for ordered "
-                        "commit",
-                    )
-                    if len(tasks) > 1:
-                        emit(
-                            "race",
-                            group,
-                            "concurrent tasks touched the same key with at "
-                            "least one unordered write",
-                        )
-            elif policy == POLICY_IDEMPOTENT:
-                values = {repr(access.value) for access in writes}
-                if len(values) > 1 and len({w.task for w in writes}) > 1:
-                    emit(
-                        "conflicting-write",
-                        writes,
-                        f"concurrent tasks wrote differing values {sorted(values)} "
-                        "for the same identity key (stale-id aliasing)",
-                    )
+            if not writes:
+                continue
+            emit(
+                "unscoped-write",
+                writes,
+                "a task wrote commit-ordered driver state directly; "
+                "it must stage the effect in its scope for ordered "
+                "commit",
+            )
+            if len({access.task for access in group}) > 1:
+                emit(
+                    "race",
+                    group,
+                    "concurrent tasks touched the same key with at "
+                    "least one unordered write",
+                )
         # A wildcard write (e.g. evict_matching with a predicate) conflicts
         # with any other task's access to the same object in the same epoch.
         for (epoch, obj), accesses in wildcard.items():
@@ -342,7 +303,6 @@ class RaceChecker:
     - ``BlockManager`` puts/gets/evictions, ``EngineMetrics.record``,
       ``JobStats.count_fault``, and ``Accumulator._apply`` are patched
       class-wide to report to the recorder;
-    - the ``sizeof`` memo reports through its observer hook;
     - a Spark context's lost-block set is wrapped to record membership
       tests and mutations.
 
@@ -419,11 +379,6 @@ class RaceChecker:
         self._patch(EngineMetrics, "record", wrap_record)
         self._patch(JobStats, "count_fault", wrap_count_fault)
         self._patch(Accumulator, "_apply", wrap_apply)
-        serde.set_sizeof_observer(
-            lambda key, size, hit: recorder.record(
-                "sizeof_memo", key, "read" if hit else "write", size
-            )
-        )
 
         self._saved_executor = self.engine.executor
         self.engine.executor = RaceCheckExecutor(self._saved_executor, recorder)
@@ -436,7 +391,6 @@ class RaceChecker:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        serde.set_sizeof_observer(None)
         for owner, name, original in reversed(self._patches):
             setattr(owner, name, original)
         self._patches.clear()

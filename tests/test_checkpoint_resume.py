@@ -192,6 +192,40 @@ class TestStores:
         with pytest.raises(CheckpointError, match="different configuration"):
             SPCA(other, make_backend("sequential")).resume(data, store)
 
+    def test_checkpoint_with_retired_config_field_resumes(self, data, tmp_path):
+        # Checkpoints written while SPCAConfig still had a ``kernel_backend``
+        # field carry it in their stored config; both resume paths drop it.
+        from dataclasses import replace
+
+        from repro.cli import main
+        from repro.core.persistence import load_model
+        from repro.data.io import save_matrix
+
+        clean_model, _ = SPCA(CONFIG, make_backend("sequential")).fit(data)
+        store = DirectoryCheckpointStore(tmp_path / "ckpts")
+        SPCA(CONFIG, make_backend("sequential")).fit(data, checkpoint=store)
+        for iteration in store.iterations()[2:]:
+            store._file(iteration).unlink()
+        newest = store.load_latest()
+        assert newest.iteration == 2
+        legacy = dict(newest.config, kernel_backend="fused")
+        save_checkpoint(replace(newest, config=legacy), store._file(2))
+        assert store.load_latest().config["kernel_backend"] == "fused"
+
+        model, _ = SPCA(CONFIG, make_backend("sequential")).resume(data, store)
+        assert np.array_equal(model.components, clean_model.components)
+        assert np.array_equal(model.mean, clean_model.mean)
+        assert model.noise_variance == clean_model.noise_variance
+
+        matrix_path = save_matrix(data, tmp_path / "data.npz")
+        out = tmp_path / "resumed.npz"
+        assert main(["resume", str(matrix_path), "--checkpoint",
+                     str(store.path), "--out", str(out)]) == 0
+        resumed = load_model(out)
+        assert np.array_equal(resumed.components, clean_model.components)
+        assert np.array_equal(resumed.mean, clean_model.mean)
+        assert resumed.noise_variance == clean_model.noise_variance
+
     def test_invalid_policy_interval(self):
         with pytest.raises(CheckpointError):
             CheckpointPolicy(HDFSCheckpointStore(InMemoryHDFS()), every=0)

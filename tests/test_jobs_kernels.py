@@ -147,3 +147,62 @@ def test_property_blocks_additive(n, d_cols, k, seed):
     sum_xtx = sum(p[1] for p in parts)
     np.testing.assert_allclose(sum_ytx, whole_ytx, atol=1e-8)
     np.testing.assert_allclose(sum_xtx, whole_xtx, atol=1e-8)
+
+
+# -- the one kernel-ops object -------------------------------------------------
+
+KERNEL_OP_NAMES = (
+    "sums", "frobenius", "latent", "ytx_xtx", "ss3", "error_parts",
+    "stack", "stack_latents",
+)
+
+
+def test_resolve_returns_the_one_kernel_ops_object():
+    from repro.errors import ConfigError
+    from repro.jobs.backends import KERNEL_OPS, resolve_kernel_backend
+
+    assert resolve_kernel_backend() is KERNEL_OPS
+    assert resolve_kernel_backend("numpy") is KERNEL_OPS
+    with pytest.raises(ConfigError, match="numpy"):
+        resolve_kernel_backend("fused")
+
+
+@pytest.mark.parametrize("engine", ["sequential", "mapreduce", "spark"])
+def test_every_engine_looks_ops_up_at_call_time(engine, monkeypatch):
+    # Shadowing an op with an instance attribute (what a profiler does to
+    # time kernel calls) must reach every mapper and partition closure.
+    from repro.backends import MapReduceBackend, SequentialBackend, SparkBackend
+    from repro.core import SPCA, SPCAConfig
+    from repro.engine.cluster import ClusterSpec
+    from repro.engine.mapreduce.runtime import MapReduceRuntime
+    from repro.engine.spark.context import SparkContext
+    from repro.jobs.backends import KERNEL_OPS
+
+    calls = dict.fromkeys(KERNEL_OP_NAMES, 0)
+
+    def counted(name):
+        original = getattr(KERNEL_OPS, name)
+
+        def op(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return op
+
+    for name in KERNEL_OP_NAMES:
+        monkeypatch.setattr(KERNEL_OPS, name, counted(name), raising=False)
+    config = SPCAConfig(n_components=2, max_iterations=2, tolerance=0.0)
+    cluster = ClusterSpec(num_nodes=1, cores_per_node=2)
+    if engine == "sequential":
+        backend = SequentialBackend(config)
+    elif engine == "mapreduce":
+        runtime = MapReduceRuntime(cluster=cluster)
+        backend = MapReduceBackend(config, runtime=runtime, records_per_split=3)
+    else:
+        context = SparkContext(cluster=cluster)
+        backend = SparkBackend(config, context=context, records_per_partition=3)
+    data = np.random.default_rng(5).normal(size=(48, 6))
+    SPCA(config, backend).fit(data)
+    used = {"sums", "frobenius", "ss3", "error_parts"}
+    used |= {"ytx_xtx"} if engine == "sequential" else {"latent", "stack"}
+    assert {name for name, count in calls.items() if count} >= used, calls

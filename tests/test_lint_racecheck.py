@@ -70,39 +70,22 @@ class TestRecorderAnalysis:
 
     def test_epochs_order_accesses(self):
         # Same key, two different epochs: the join/dispatch barrier between
-        # them orders the accesses, so no race.
+        # them orders the accesses, so each write is an unscoped write of its
+        # own epoch but the two never race.
         recorder = RaceRecorder()
         recorder.begin_epoch("stage1")
         recorder.enter_task(0)
-        recorder.record("sizeof_memo", 42, "write", 100)
+        recorder.record("BlockManager", (0, 0), "write", 100)
         recorder.exit_task()
         recorder.begin_epoch("stage2")
         recorder.enter_task(1)
-        recorder.record("sizeof_memo", 42, "write", 200)
-        recorder.exit_task()
-        assert recorder.conflicts() == []
-
-    def test_idempotent_policy_allows_agreeing_writes(self):
-        recorder = RaceRecorder()
-        recorder.begin_epoch("stage")
-        for task in range(3):
-            recorder.enter_task(task)
-            recorder.record("sizeof_memo", 42, "write", 100)
-            recorder.exit_task()
-        assert recorder.conflicts() == []
-
-    def test_idempotent_policy_flags_disagreeing_writes(self):
-        recorder = RaceRecorder()
-        recorder.begin_epoch("stage")
-        recorder.enter_task(0)
-        recorder.record("sizeof_memo", 42, "write", 100)
-        recorder.exit_task()
-        recorder.enter_task(1)
-        recorder.record("sizeof_memo", 42, "write", 999)
+        recorder.record("BlockManager", (0, 0), "write", 200)
         recorder.exit_task()
         conflicts = recorder.conflicts()
-        assert [c.kind for c in conflicts] == ["conflicting-write"]
-        assert "aliasing" in conflicts[0].detail
+        assert [(c.kind, c.epoch_label) for c in conflicts] == [
+            ("unscoped-write", "stage1"),
+            ("unscoped-write", "stage2"),
+        ]
 
     def test_wildcard_eviction_races_with_keyed_access(self):
         recorder = RaceRecorder()
@@ -166,7 +149,6 @@ class TestRaceCheckerHarness:
             ctx.executor.shutdown()
 
     def test_instrumentation_is_restored_on_exit(self):
-        from repro.engine import serde
         from repro.engine.spark.memory import BlockManager
 
         original_put = BlockManager.put
@@ -177,7 +159,6 @@ class TestRaceCheckerHarness:
                 assert isinstance(ctx.executor, RaceCheckExecutor)
             assert BlockManager.put is original_put
             assert not isinstance(ctx.executor, RaceCheckExecutor)
-            assert serde._memo_observer is None
             assert type(ctx._lost_blocks) is set
         finally:
             ctx.executor.shutdown()
