@@ -21,7 +21,7 @@ from repro.engine.serde import sizeof
 from repro.engine.spark.context import Broadcast, SparkContext
 from repro.jobs import kernels
 from repro.jobs.backends import KERNEL_OPS
-from repro.linalg.blocks import Matrix, partition_rows
+from repro.linalg.blocks import Matrix, PartitionBlock, partition_rows
 from repro.linalg.stats import sample_rows
 
 
@@ -58,34 +58,39 @@ class SparkBackend(Backend):
     # -- Backend API -------------------------------------------------------
 
     def load(self, data: Matrix):
+        # Each partition is laid out once, as one contiguous block of its
+        # records; every job reads that cached block instead of re-stacking.
         num_partitions = self.context.cluster.total_cores * self.partitions_per_core
-        blocks = partition_rows(data, num_partitions * self.records_per_partition)
-        rdd = self.context.parallelize(
-            [(block.start, block.data) for block in blocks],
-            num_partitions=min(num_partitions, len(blocks)),
-        )
-        return rdd.cache()
+        blocks = partition_rows(data, num_partitions, self.records_per_partition)
+        return self.context.parallelize(blocks, num_partitions=len(blocks)).cache()
 
-    def _batched(self, partition) -> bool:
-        """Whether a partition should take the stacked fast path."""
-        return self.context.enable_batch and len(partition) > 1
+    def _blocks(self, partition, per_record: bool = False):
+        """The ``(start, rows)`` blocks one task computes on.
+
+        With batching on, each cached partition block is read whole: one
+        kernel call and one accumulator update per partition, the combiner
+        economy of Section 4.2.  Otherwise (or with *per_record*) the task
+        walks the block's records.
+        """
+        for block in partition:
+            if self.context.enable_batch and not per_record:
+                yield block.start, block.data
+            else:
+                yield from block.records()
+
+    def _with_latents(self, partition, latent_partition):
+        """Pair each data block with its materialized X rows, or with None."""
+        blocks = (block for _, block in self._blocks(partition))
+        if latent_partition is None:
+            return ((block, None) for block in blocks)
+        return zip(blocks, (latent for _, latent in self._blocks(latent_partition)))
 
     def column_means(self, rdd) -> np.ndarray:
-        n_cols = rdd.first()[1].shape[1]
-        sums = self.context.accumulator(np.zeros(n_cols))
+        sums = self.context.accumulator(np.zeros(rdd.first().n_cols))
         count = self.context.accumulator(0)
 
         def run(partition):
-            if self._batched(partition):
-                # One stacked kernel call and one accumulator update per
-                # partition: fewer, larger updates is exactly the combiner
-                # economy the paper's Section 4.2 argues for.
-                stacked = KERNEL_OPS.stack([block for _, block in partition])
-                block_sums, rows = KERNEL_OPS.sums(stacked)
-                sums.add(block_sums)
-                count.add(rows)
-                return
-            for _, block in partition:
+            for _, block in self._blocks(partition):
                 block_sums, rows = KERNEL_OPS.sums(block)
                 sums.add(block_sums)
                 count.add(rows)
@@ -99,11 +104,7 @@ class SparkBackend(Backend):
         total = self.context.accumulator(0.0)
 
         def run(partition):
-            if self._batched(partition):
-                stacked = KERNEL_OPS.stack([block for _, block in partition])
-                total.add(KERNEL_OPS.frobenius(stacked, bc_mean.value, efficient))
-                return
-            for _, block in partition:
+            for _, block in self._blocks(partition):
                 total.add(KERNEL_OPS.frobenius(block, bc_mean.value, efficient))
 
         self.context.run_job(rdd, run, name="FnormJob")
@@ -128,46 +129,20 @@ class SparkBackend(Backend):
 
         latent_rdd = self._latent_for(rdd, bc_mean, bc_projector, bc_latent_mean)
 
-        def run_with_latent(partition, latent_partition):
-            if self._batched(partition):
-                block = KERNEL_OPS.stack([b for _, b in partition])
-                latent = KERNEL_OPS.stack_latents([x for _, x in latent_partition])
-                self._accumulate_ytx(
-                    block, latent, bc_projector.value, bc_mean.value,
-                    bc_latent_mean.value, mean_prop, ytx_data, latent_colsum, xtx_sum,
-                )
-                return
-            for (_, block), (_, latent) in zip(partition, latent_partition):
-                self._accumulate_ytx(
-                    block, latent, bc_projector.value, bc_mean.value,
-                    bc_latent_mean.value, mean_prop, ytx_data, latent_colsum, xtx_sum,
-                )
-
-        def run(partition):
-            if self._batched(partition):
-                blocks = [block for _, block in partition]
-                stacked = KERNEL_OPS.stack(blocks)
-                latent = KERNEL_OPS.latent(
-                    stacked, bc_mean.value, bc_projector.value,
-                    bc_latent_mean.value, mean_prop,
-                )
-                self._accumulate_ytx(
-                    stacked, latent, bc_projector.value, bc_mean.value,
-                    bc_latent_mean.value, mean_prop, ytx_data, latent_colsum, xtx_sum,
-                )
-                return
-            for _, block in partition:
-                latent = KERNEL_OPS.latent(
-                    block, bc_mean.value, bc_projector.value,
-                    bc_latent_mean.value, mean_prop,
-                )
+        def run(partition, latent_partition=None):
+            for block, latent in self._with_latents(partition, latent_partition):
+                if latent is None:
+                    latent = KERNEL_OPS.latent(
+                        block, bc_mean.value, bc_projector.value,
+                        bc_latent_mean.value, mean_prop,
+                    )
                 self._accumulate_ytx(
                     block, latent, bc_projector.value, bc_mean.value,
                     bc_latent_mean.value, mean_prop, ytx_data, latent_colsum, xtx_sum,
                 )
 
         if latent_rdd is not None:
-            zipped = rdd.zip_partitions(latent_rdd, lambda a, b: [run_with_latent(a, b)])
+            zipped = rdd.zip_partitions(latent_rdd, lambda a, b: [run(a, b)])
             self.context.run_job(zipped, list, name="YtXJob")
         else:
             self.context.run_job(rdd, run, name="YtXJob")
@@ -194,38 +169,26 @@ class SparkBackend(Backend):
         total = self.context.accumulator(0.0)
         latent_rdd = self._latent_for(rdd, bc_mean, bc_projector, bc_latent_mean)
 
-        def partial(block, latent):
-            return KERNEL_OPS.ss3(
-                block, bc_mean.value, bc_projector.value, bc_latent_mean.value,
-                bc_components.value, mean_prop, latent=latent,
-            )
-
-        def zipped_ss3(partition, latent_partition):
-            if self._batched(partition):
-                total.add(
-                    partial(
-                        KERNEL_OPS.stack([b for _, b in partition]),
-                        KERNEL_OPS.stack_latents([x for _, x in latent_partition]),
-                    )
-                )
-                return (None,)
-            # One None marker per record, matching the historical byte
+        def run(partition, latent_partition=None):
+            # One None marker per block, matching the historical byte
             # accounting of the per-record closure.
             return [
-                total.add(partial(block, latent))
-                for (_, block), (_, latent) in zip(partition, latent_partition)
+                total.add(
+                    KERNEL_OPS.ss3(
+                        block, bc_mean.value, bc_projector.value,
+                        bc_latent_mean.value, bc_components.value, mean_prop,
+                        latent=latent,
+                    )
+                )
+                for block, latent in self._with_latents(partition, latent_partition)
             ]
 
         if latent_rdd is not None:
-            zipped = rdd.zip_partitions(latent_rdd, zipped_ss3)
+            zipped = rdd.zip_partitions(latent_rdd, run)
             self.context.run_job(zipped, list, name="ss3Job")
         else:
             def run_ss3(partition):
-                if self._batched(partition):
-                    total.add(partial(KERNEL_OPS.stack([b for _, b in partition]), None))
-                    return
-                for _, block in partition:
-                    total.add(partial(block, None))
+                run(partition)
 
             self.context.run_job(rdd, run_ss3, name="ss3Job")
         # The per-iteration latent cache is invalid once C changes.
@@ -248,21 +211,13 @@ class SparkBackend(Backend):
         magnitude = self.context.accumulator(np.zeros(mean.shape[0]))
         seed = int(rng.integers(2**31))
         mean_prop = self.config.use_mean_propagation
+        sampled = sample_fraction < 1.0
 
-        def run(split, partition):
-            if sample_fraction >= 1.0 and self._batched(partition):
-                # Sampling is seeded per record start row, so only the
-                # unsampled path can stack the whole partition.
-                stacked = KERNEL_OPS.stack([block for _, block in partition])
-                parts = KERNEL_OPS.error_parts(
-                    stacked, bc_mean.value, bc_components.value,
-                    bc_ls_projector.value, mean_prop,
-                )
-                residual.add(parts[0])
-                magnitude.add(parts[1])
-                return ()
-            for start, block in partition:
-                if sample_fraction < 1.0:
+        def run(partition):
+            # Sampling is seeded per record start row, so only the unsampled
+            # path can read the whole partition block.
+            for start, block in self._blocks(partition, per_record=sampled):
+                if sampled:
                     block = sample_rows(
                         block, sample_fraction, np.random.default_rng((seed, start))
                     )
@@ -274,8 +229,7 @@ class SparkBackend(Backend):
                 magnitude.add(parts[1])
             return ()
 
-        mapped = rdd.map_partitions_with_index(run)
-        self.context.run_job(mapped, list, name="errorJob")
+        self.context.run_job(rdd.map_partitions(run), list, name="errorJob")
         return kernels.error_from_colsums(residual.value, magnitude.value)
 
     # -- internals ---------------------------------------------------------
@@ -324,13 +278,21 @@ class SparkBackend(Backend):
         if self._latent_key != key:
             mean_prop = self.config.use_mean_propagation
             self._drop_latent()
+            # X is computed record by record (a dense product's rows may
+            # round differently in a taller block, and per-record jobs read
+            # these rows too), then kept in the partition's layout so the
+            # batched jobs read it whole, like the data block.
             self._latent_rdd = rdd.map(
-                lambda record: (
-                    record[0],
-                    KERNEL_OPS.latent(
-                        record[1], bc_mean.value, bc_projector.value,
-                        bc_latent_mean.value, mean_prop,
-                    ),
+                lambda block: PartitionBlock(
+                    block.start,
+                    np.vstack([
+                        KERNEL_OPS.latent(
+                            rows, bc_mean.value, bc_projector.value,
+                            bc_latent_mean.value, mean_prop,
+                        )
+                        for _, rows in block.records()
+                    ]),
+                    block.record_starts,
                 )
             ).cache()
             self._latent_rdd.count()  # force materialization into the cache
@@ -342,9 +304,11 @@ class SparkBackend(Backend):
             from repro.engine.metrics import JobStats
             from repro.obs import EventTrace, record_job_stats
 
+            # X goes to storage as (start, rows) records.
             latent_bytes = sum(
-                sizeof(self._latent_rdd._iterator(split))
+                sizeof(list(block.records()))
                 for split in range(self._latent_rdd.num_partitions)
+                for block in self._latent_rdd._iterator(split)
             )
             cost = self.context.cost_model
             record_job_stats(

@@ -196,15 +196,24 @@ def block_error_parts(
     driver takes the ratio of the maxima.  ``Yhat = Xr * C' + Ym`` with
     ``Xr = Yc * C (C'C)^-1`` the least-squares projection.
     """
+    dense = _densify(block)
     if mean_propagation:
         latent = centered_times(block, mean, ls_projector)
     else:
-        latent = (_densify(block) - mean) @ ls_projector
-    reconstruction = latent @ components.T + mean
-    dense = _densify(block)
-    residual_colsums = np.abs(dense - reconstruction).sum(axis=0)
-    magnitude_colsums = np.abs(dense).sum(axis=0)
-    return residual_colsums, magnitude_colsums
+        latent = (dense - mean) @ ls_projector
+    # |Yhat - Y| built in one buffer: negating a difference is exact, so the
+    # sums equal those of |Y - Yhat| bit for bit.
+    work = latent @ components.T
+    work += mean
+    work -= dense
+    np.abs(work, out=work)
+    if is_sparse(block) and block.shape[1] > 1:
+        # Zeros add nothing to |Y|'s column sums: sum the non-zeros only, in
+        # the same row order.  (numpy sums a single column pairwise instead.)
+        magnitude_colsums = np.asarray(abs(block).sum(axis=0)).ravel()
+    else:
+        magnitude_colsums = np.abs(dense).sum(axis=0)
+    return work.sum(axis=0), magnitude_colsums
 
 
 @contract(residual_colsums="dense (D,)", magnitude_colsums="dense (D,)", ret="scalar")

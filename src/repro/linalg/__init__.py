@@ -16,7 +16,14 @@ Section 3 of the paper optimizes:
 - :mod:`repro.linalg.stats` -- column means/sums and row sampling.
 """
 
-from repro.linalg.blocks import RowBlock, block_nbytes, iter_blocks, partition_rows, stack_blocks
+from repro.linalg.blocks import (
+    PartitionBlock,
+    RowBlock,
+    block_nbytes,
+    iter_blocks,
+    partition_rows,
+    stack_blocks,
+)
 from repro.linalg.centered import (
     centered_gram,
     centered_row,
@@ -38,6 +45,7 @@ from repro.linalg.stats import column_means, column_sums, sample_rows
 
 __all__ = [
     "CenteredOperator",
+    "PartitionBlock",
     "RowBlock",
     "block_nbytes",
     "broadcast_times",

@@ -69,6 +69,28 @@ class RowBlock:
         return self
 
 
+@dataclass(frozen=True)
+class PartitionBlock(RowBlock):
+    """One partition's rows held as a single block, grouping several records.
+
+    The block is laid out once, when the dataset is loaded: a CSR row slice
+    of the input, or a view of its dense rows.  Batched kernels read
+    :attr:`data` whole; the per-record paths walk :meth:`records`.
+
+    Attributes:
+        record_starts: global start row of each record, in row order; the
+            first is :attr:`start`.
+    """
+
+    record_starts: tuple[int, ...]
+
+    def records(self) -> Iterator[tuple[int, Matrix]]:
+        """Yield ``(start, rows)`` for each record, as slices of the block."""
+        stops = self.record_starts[1:] + (self.stop,)
+        for lo, hi in zip(self.record_starts, stops):
+            yield lo, self.data[lo - self.start : hi - self.start]
+
+
 def block_nbytes(matrix: Matrix) -> int:
     """Bytes needed to serialize *matrix* (data + sparse index structures)."""
     if sp.issparse(matrix):
@@ -77,29 +99,58 @@ def block_nbytes(matrix: Matrix) -> int:
     return int(np.asarray(matrix).nbytes)
 
 
-def partition_rows(matrix: Matrix, num_partitions: int) -> list[RowBlock]:
+def _row_bounds(n_rows: int, num_blocks: int) -> np.ndarray:
+    """Boundaries of ``min(num_blocks, n_rows)`` near-equal row ranges."""
+    return np.linspace(0, n_rows, min(num_blocks, n_rows) + 1, dtype=int)
+
+
+def partition_rows(
+    matrix: Matrix, num_partitions: int, records_per_partition: int | None = None
+) -> list[RowBlock]:
     """Split *matrix* into ``num_partitions`` near-equal row blocks.
 
     The split mirrors how HDFS splits a row-major file: blocks are contiguous
     and sizes differ by at most one row.
 
+    With *records_per_partition*, the rows are first cut into
+    ``num_partitions * records_per_partition`` near-equal records -- bitwise
+    the blocks ``partition_rows(matrix, num_partitions * records_per_partition)``
+    returns -- and each returned :class:`PartitionBlock` holds a run of
+    consecutive records as one block.  Runs differ by at most one record, the
+    grouping ``SparkContext.parallelize`` gives a list of records.
+
     Raises:
-        ShapeError: if the matrix has no rows or ``num_partitions < 1``.
+        ShapeError: if the matrix has no rows, ``num_partitions < 1`` or
+            ``records_per_partition < 1``.
     """
     if num_partitions < 1:
         raise ShapeError(f"num_partitions must be >= 1, got {num_partitions}")
+    if records_per_partition is not None and records_per_partition < 1:
+        raise ShapeError(
+            f"records_per_partition must be >= 1, got {records_per_partition}"
+        )
     n_rows = matrix.shape[0]
     if n_rows == 0:
         raise ShapeError("cannot partition a matrix with zero rows")
-    num_partitions = min(num_partitions, n_rows)
-    boundaries = np.linspace(0, n_rows, num_partitions + 1, dtype=int)
-    blocks = []
-    sparse = sp.issparse(matrix)
-    csr = matrix.tocsr() if sparse else np.asarray(matrix)
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        if hi > lo:
-            blocks.append(RowBlock(int(lo), csr[lo:hi]))
-    return blocks
+    csr = matrix.tocsr() if sp.issparse(matrix) else np.asarray(matrix)
+    if records_per_partition is None:
+        boundaries = _row_bounds(n_rows, num_partitions)
+        return [
+            RowBlock(int(lo), csr[lo:hi])
+            for lo, hi in zip(boundaries[:-1], boundaries[1:])
+            if hi > lo
+        ]
+    starts = _row_bounds(n_rows, num_partitions * records_per_partition)
+    groups = _row_bounds(len(starts) - 1, num_partitions)
+    return [
+        PartitionBlock(
+            int(starts[lo]),
+            csr[starts[lo] : starts[hi]],
+            tuple(int(start) for start in starts[lo:hi]),
+        )
+        for lo, hi in zip(groups[:-1], groups[1:])
+        if hi > lo
+    ]
 
 
 def iter_blocks(blocks: Sequence[RowBlock]) -> Iterator[RowBlock]:

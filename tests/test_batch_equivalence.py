@@ -246,3 +246,97 @@ def test_spca_batch_matches_per_record_across_backends():
     np.testing.assert_allclose(
         model_mr.components, model_spark.components, rtol=1e-8, atol=1e-10
     )
+
+
+# -- golden Spark fits across the partition layout ----------------------------
+#
+# Digests of Spark fits captured while each record was still its own cached
+# element of a partition, before a partition became one contiguous block.
+# The layout is an optimization: every case must still produce bitwise the
+# same components, noise variance and per-iteration errors, and the same
+# bytes in every EM job -- the materialized-X ``XJob`` charge included.  Only
+# the ``take`` job behind ``rdd.first()`` is left out: it ships the first
+# partition itself.  Captured on x86-64 with numpy's bundled OpenBLAS.
+
+GOLDEN_INPUTS = {
+    "sparse": sp.random(90, 40, density=0.3, random_state=3, format="csr"),
+    "dense": np.random.default_rng(3).normal(size=(90, 40)),
+}
+
+#: "kind-records_per_partition-enable_batch-error_sample_fraction-
+#: use_x_recomputation" -> (fit digest, byte-ledger digest).
+GOLDEN_DIGESTS = {
+    "sparse-1-True-1.0-True": ('4a05873672de7499', '73759fd3571820bf'),
+    "sparse-1-True-1.0-False": ('4a05873672de7499', '8be09b946784da4e'),
+    "sparse-1-True-0.5-True": ('9f84c5ce2218f88e', '73759fd3571820bf'),
+    "sparse-1-True-0.5-False": ('9f84c5ce2218f88e', '8be09b946784da4e'),
+    "sparse-1-False-1.0-True": ('4a05873672de7499', '73759fd3571820bf'),
+    "sparse-1-False-1.0-False": ('4a05873672de7499', '8be09b946784da4e'),
+    "sparse-1-False-0.5-True": ('9f84c5ce2218f88e', '73759fd3571820bf'),
+    "sparse-1-False-0.5-False": ('9f84c5ce2218f88e', '8be09b946784da4e'),
+    "sparse-6-True-1.0-True": ('4a05873672de7499', '73759fd3571820bf'),
+    "sparse-6-True-1.0-False": ('4a05873672de7499', 'fb9116592dfad4b7'),
+    "sparse-6-True-0.5-True": ('0c53636b8f30a5f1', 'a89a47d70d7285b0'),
+    "sparse-6-True-0.5-False": ('0c53636b8f30a5f1', '6fcb56d7604c183e'),
+    "sparse-6-False-1.0-True": ('5faf4f76211d8471', 'a9fba82d830376ed'),
+    "sparse-6-False-1.0-False": ('5faf4f76211d8471', 'f970d8d16a01b89e'),
+    "sparse-6-False-0.5-True": ('5a1a25d5334cb6ce', 'a9fba82d830376ed'),
+    "sparse-6-False-0.5-False": ('5a1a25d5334cb6ce', 'f970d8d16a01b89e'),
+    "dense-1-True-1.0-True": ('179a80241b2d42bc', '73759fd3571820bf'),
+    "dense-1-True-1.0-False": ('179a80241b2d42bc', '8be09b946784da4e'),
+    "dense-1-True-0.5-True": ('1be8e3fa2058e922', '73759fd3571820bf'),
+    "dense-1-True-0.5-False": ('1be8e3fa2058e922', '8be09b946784da4e'),
+    "dense-1-False-1.0-True": ('179a80241b2d42bc', '73759fd3571820bf'),
+    "dense-1-False-1.0-False": ('179a80241b2d42bc', '8be09b946784da4e'),
+    "dense-1-False-0.5-True": ('1be8e3fa2058e922', '73759fd3571820bf'),
+    "dense-1-False-0.5-False": ('1be8e3fa2058e922', '8be09b946784da4e'),
+    "dense-6-True-1.0-True": ('179a80241b2d42bc', '73759fd3571820bf'),
+    "dense-6-True-1.0-False": ('d9162a5a3631ec6c', 'fb9116592dfad4b7'),
+    "dense-6-True-0.5-True": ('889b8cebb28fe398', 'a89a47d70d7285b0'),
+    "dense-6-True-0.5-False": ('a1abf2eb43c8aaed', '6fcb56d7604c183e'),
+    "dense-6-False-1.0-True": ('bf0c5de517978dfa', 'a9fba82d830376ed'),
+    "dense-6-False-1.0-False": ('bf0c5de517978dfa', 'f970d8d16a01b89e'),
+    "dense-6-False-0.5-True": ('e15a8cf4902305ee', 'a9fba82d830376ed'),
+    "dense-6-False-0.5-False": ('e15a8cf4902305ee', 'f970d8d16a01b89e'),
+}
+
+
+def golden_fit_digests(kind, records, enable_batch, sample, recompute):
+    import hashlib
+
+    config = SPCAConfig(
+        n_components=3, max_iterations=3, tolerance=0.0, seed=7,
+        error_sample_fraction=sample, use_x_recomputation=recompute,
+    )
+    context = SparkContext(cluster=SMALL_CLUSTER, enable_batch=enable_batch)
+    backend = SparkBackend(config, context=context, records_per_partition=records)
+    model, history = SPCA(config, backend).fit(GOLDEN_INPUTS[kind])
+    fit = hashlib.sha256(model.components.tobytes())
+    fit.update(np.float64(model.noise_variance).tobytes())
+    fit.update(np.array([it.error for it in history.iterations]).tobytes())
+    ledger = [
+        (job.name, *(getattr(job, field) for field in BYTE_FIELDS))
+        for job in context.metrics.jobs
+        if job.name != "take"
+    ]
+    return (
+        fit.hexdigest()[:16],
+        hashlib.sha256(repr(ledger).encode()).hexdigest()[:16],
+    )
+
+
+GOLDEN_CASES = [
+    (kind, records, enable_batch, sample, recompute)
+    for kind in ("sparse", "dense")
+    for records in (1, 6)
+    for enable_batch in (True, False)
+    for sample in (1.0, 0.5)
+    for recompute in (True, False)
+]
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_CASES, ids=["-".join(map(str, case)) for case in GOLDEN_CASES]
+)
+def test_spark_fit_matches_golden_digests(case):
+    assert golden_fit_digests(*case) == GOLDEN_DIGESTS["-".join(map(str, case))]

@@ -13,6 +13,7 @@ from repro.engine.mapreduce.runtime import _partition_of, _partition_pairs
 from repro.engine.spark.context import SparkContext
 from repro.errors import InvalidPlanError, ShapeError
 from repro.jobs import kernels
+from repro.linalg.blocks import partition_rows
 
 
 class RecordingBatchMapper(Mapper):
@@ -234,7 +235,14 @@ class TestRecordGranularity:
         data = np.random.default_rng(0).normal(size=(64, 5))
         dataset = backend.load(data)
         assert dataset.num_partitions == 4
-        assert len(dataset.collect()) == 32
+        # Each partition is cached as one block; its records are slices of it.
+        records = [record for block in dataset.collect() for record in block.records()]
+        assert len(records) == 32  # 4 cores * 8 records
+        # Bitwise the records a one-record-per-block split of 32 yields.
+        expected = partition_rows(data, 32)
+        assert [start for start, _ in records] == [block.start for block in expected]
+        for (_, rows), block in zip(records, expected):
+            assert np.array_equal(rows, block.data)
 
     def test_spark_rejects_invalid_granularity(self):
         with pytest.raises(InvalidPlanError):

@@ -149,6 +149,42 @@ def test_property_blocks_additive(n, d_cols, k, seed):
     np.testing.assert_allclose(sum_xtx, whole_xtx, atol=1e-8)
 
 
+@pytest.mark.parametrize("mean_propagation", [True, False])
+@pytest.mark.parametrize("kind", ["sparse", "dense"])
+def test_error_parts_match_the_reference_formula_bitwise(kind, mean_propagation):
+    # The kernel builds |Yhat - Y| in one buffer and, for sparse blocks, sums
+    # |Y| over the non-zeros only; both must equal the direct formula exactly.
+    from repro.jobs.kernels import _densify
+    from repro.linalg.centered import centered_times
+
+    def reference(block):
+        dense = _densify(block)
+        if mean_propagation:
+            latent = centered_times(block, mean, ls_projector)
+        else:
+            latent = (dense - mean) @ ls_projector
+        reconstruction = latent @ components.T + mean
+        return np.abs(dense - reconstruction).sum(0), np.abs(dense).sum(0)
+
+    rng = np.random.default_rng(23)
+    for case in range(120):
+        rows = (1, 2, 5, 17, 40)[case % 5]
+        cols = int(rng.integers(1, 30))
+        d = int(rng.integers(1, cols + 1))
+        values = rng.normal(scale=rng.choice([0.1, 1.0, 50.0]), size=(rows, cols))
+        values[rng.random((rows, cols)) < rng.choice([0.0, 0.5, 0.9, 1.0])] = 0.0
+        if case % 7 == 0:
+            values[: max(1, rows // 2)] = 0.0  # rows with no non-zeros
+        block = sp.csr_matrix(values) if kind == "sparse" else values
+        mean = rng.normal(size=cols)
+        components = rng.normal(size=(cols, d))
+        ls_projector = rng.normal(size=(cols, d))
+        got = block_error_parts(block, mean, components, ls_projector, mean_propagation)
+        for got_part, want_part in zip(got, reference(block)):
+            assert got_part.dtype == want_part.dtype
+            assert np.array_equal(got_part, want_part), case
+
+
 # -- the one kernel-ops object -------------------------------------------------
 
 KERNEL_OP_NAMES = (
@@ -204,5 +240,47 @@ def test_every_engine_looks_ops_up_at_call_time(engine, monkeypatch):
     data = np.random.default_rng(5).normal(size=(48, 6))
     SPCA(config, backend).fit(data)
     used = {"sums", "frobenius", "ss3", "error_parts"}
-    used |= {"ytx_xtx"} if engine == "sequential" else {"latent", "stack"}
+    if engine == "sequential":
+        used |= {"ytx_xtx"}
+    elif engine == "mapreduce":
+        used |= {"latent", "stack"}
+    else:
+        # Spark reads each cached partition block whole and never stacks;
+        # test_batched_spark_fit_never_stacks asserts that.
+        used |= {"latent"}
     assert {name for name, count in calls.items() if count} >= used, calls
+
+
+@pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+@pytest.mark.parametrize("recompute", [True, False], ids=["recompute-x", "materialize-x"])
+def test_batched_spark_fit_never_stacks(sparse, recompute, monkeypatch):
+    # The partition block laid out at load is what every batched job reads:
+    # no job may rebuild it (or its X rows) from records.
+    from repro.backends import SparkBackend
+    from repro.core import SPCA, SPCAConfig
+    from repro.engine.cluster import ClusterSpec
+    from repro.engine.spark.context import SparkContext
+    from repro.jobs.backends import KERNEL_OPS
+
+    config = SPCAConfig(
+        n_components=2, max_iterations=2, tolerance=0.0, use_x_recomputation=recompute
+    )
+    context = SparkContext(cluster=ClusterSpec(num_nodes=1, cores_per_node=2))
+    backend = SparkBackend(config, context=context, records_per_partition=3)
+    data = np.random.default_rng(5).normal(size=(48, 6))
+    calls = {"stack": 0, "stack_latents": 0, "latent": 0}
+
+    def counted(name):
+        original = getattr(KERNEL_OPS, name)
+
+        def op(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return op
+
+    for name in calls:
+        monkeypatch.setattr(KERNEL_OPS, name, counted(name), raising=False)
+    SPCA(config, backend).fit(sp.csr_matrix(data) if sparse else data)
+    assert calls["latent"] > 0, calls  # the hook is live
+    assert calls["stack"] == calls["stack_latents"] == 0, calls

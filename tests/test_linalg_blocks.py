@@ -5,7 +5,14 @@ import pytest
 import scipy.sparse as sp
 
 from repro.errors import ShapeError
-from repro.linalg import RowBlock, block_nbytes, iter_blocks, partition_rows, stack_blocks
+from repro.linalg import (
+    PartitionBlock,
+    RowBlock,
+    block_nbytes,
+    iter_blocks,
+    partition_rows,
+    stack_blocks,
+)
 
 
 @pytest.fixture
@@ -45,6 +52,42 @@ def test_partition_rejects_bad_args(rng):
         partition_rows(rng.normal(size=(3, 2)), 0)
     with pytest.raises(ShapeError):
         partition_rows(np.empty((0, 4)), 2)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize(
+    "n_rows,partitions,records",
+    [(64, 4, 8), (90, 4, 6), (7, 3, 4), (100, 7, 3), (5, 8, 2), (1000, 49, 16)],
+)
+def test_partition_blocks_group_the_fine_records(rng, sparse, n_rows, partitions, records):
+    # Each partition block covers exactly the records SparkContext.parallelize
+    # would group into that partition, and yields them back bitwise.
+    from repro.engine.spark.context import SparkContext
+
+    matrix = rng.normal(size=(n_rows, 6))
+    matrix[rng.random(matrix.shape) < 0.6] = 0.0
+    if sparse:
+        matrix = sp.csr_matrix(matrix)
+    fine = partition_rows(matrix, partitions * records)
+    grouped = SparkContext().parallelize(fine, partitions).glom().collect()
+    blocks = partition_rows(matrix, partitions, records)
+    assert all(isinstance(block, PartitionBlock) for block in blocks)
+    assert len(blocks) == len(grouped)
+    for block, group in zip(blocks, grouped):
+        assert (block.start, block.stop) == (group[0].start, group[-1].stop)
+        assert block.record_starts == tuple(record.start for record in group)
+        for (start, rows), record in zip(block.records(), group, strict=True):
+            assert start == record.start
+            if sparse:
+                for part in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(rows, part), getattr(record.data, part))
+            else:
+                assert np.array_equal(rows, record.data)
+
+
+def test_partition_blocks_reject_bad_record_counts(rng):
+    with pytest.raises(ShapeError):
+        partition_rows(rng.normal(size=(3, 2)), 2, 0)
 
 
 def test_stack_rejects_gaps(rng):
