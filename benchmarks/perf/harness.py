@@ -32,6 +32,7 @@ from repro.engine.mapreduce import MapReduceJob, MapReduceRuntime
 from repro.engine.mapreduce.runtime import _partition_of, _partition_pairs
 from repro.engine.spark.context import SparkContext
 from repro.jobs import mapreduce_jobs as mr
+from repro.linalg.blocks import partition_rows
 from repro.obs import collecting, tracing
 from repro.obs.export import TraceData
 from repro.obs.metrics import METRICS_SCHEMA
@@ -147,12 +148,15 @@ def bench_shuffle_partitioning(repeats: int, n_records: int) -> dict:
 
 
 def bench_map_dispatch(repeats: int, records_per_split: int) -> dict:
-    """One ``map_batch`` stacked-kernel call vs per-record ``map`` calls."""
-    split = [
-        (i * 4, sp.random(4, 128, density=0.1, random_state=i, format="csr"))
-        for i in range(records_per_split)
-    ]
-    splits = [split]
+    """One ``map_batch`` call over the split's block vs per-record ``map`` calls."""
+    data = sp.vstack(
+        [
+            sp.random(4, 128, density=0.1, random_state=i, format="csr")
+            for i in range(records_per_split)
+        ],
+        format="csr",
+    )
+    splits = partition_rows(data, 1, records_per_split)
 
     def run(enable_batch: bool) -> None:
         runtime = MapReduceRuntime(cluster=CLUSTER, enable_batch=enable_batch)

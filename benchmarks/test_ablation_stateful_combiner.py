@@ -34,11 +34,7 @@ def test_stateful_combiner_vs_per_record_emission(benchmark, report):
     }
     # Many records per split so per-record emission actually floods: blocks
     # of ~40 rows, 8 records per split.
-    blocks = partition_rows(data, 512)
-    splits = [
-        [(block.start, block.data) for block in blocks[i : i + 8]]
-        for i in range(0, len(blocks), 8)
-    ]
+    splits = partition_rows(data, 64, 8)
     stats = {}
 
     def run_both():

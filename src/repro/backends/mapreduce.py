@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -12,7 +13,7 @@ from repro.core.config import SPCAConfig
 from repro.engine.mapreduce.api import MapReduceJob
 from repro.engine.mapreduce.runtime import MapReduceRuntime, ResidentDataset
 from repro.jobs import mapreduce_jobs as mr
-from repro.linalg.blocks import Matrix, partition_rows
+from repro.linalg.blocks import Matrix, PartitionBlock, partition_rows
 
 
 class MapReduceBackend(Backend):
@@ -32,8 +33,9 @@ class MapReduceBackend(Backend):
         records_per_split: row-block records per input split.  The default 1
             keeps the historical coarse layout (one block per split);
             larger values model the paper's real record granularity -- an
-            HDFS split holds many row records -- and are what the batched
-            ``map_batch`` pipeline is built to chew through.
+            HDFS split holds many row records.  Each split is loaded as one
+            :class:`~repro.linalg.blocks.PartitionBlock`, which the batched
+            mappers read whole.
         worker_resident: pin each input split in the executor's resident
             store at ``load`` time, so every job of every EM iteration ships
             a tiny ref to workers instead of the split itself (see
@@ -68,22 +70,17 @@ class MapReduceBackend(Backend):
 
     # -- Backend API -------------------------------------------------------
 
-    def load(self, data: Matrix) -> list[list]:
+    def load(self, data: Matrix) -> "list[PartitionBlock] | ResidentDataset":
+        # Each split is laid out once, as one contiguous block of its
+        # records -- the same layout Spark caches per partition.
         num_splits = self.runtime.cluster.total_cores * self.blocks_per_core
-        blocks = partition_rows(data, num_splits * self.records_per_split)
-        records = [(block.start, block.data) for block in blocks]
-        if self.records_per_split == 1:
-            splits = [[record] for record in records]
-        else:
-            groups = np.array_split(
-                np.arange(len(records)), min(num_splits, len(records))
-            )
-            splits = [
-                [records[i] for i in group] for group in groups if len(group) > 0
-            ]
-        return self._pin_splits(splits)
+        return self._pin_splits(
+            partition_rows(data, num_splits, self.records_per_split)
+        )
 
-    def _pin_splits(self, splits: list[list]) -> "list[list] | ResidentDataset":
+    def _pin_splits(
+        self, splits: list[PartitionBlock]
+    ) -> "list[PartitionBlock] | ResidentDataset":
         """Pin the loaded splits worker-resident when configured to.
 
         The serial executor resolves payloads in the driver itself, so there
@@ -227,9 +224,15 @@ class MapReduceBackend(Backend):
             )
             self.runtime.run(job, dataset)
             self._materialized_iteration = self._iteration
+        # Join each split's X rows into its block's row order once.
         latent_by_start = dict(self.runtime.hdfs.read(path))
         return [
-            [(start, (block, latent_by_start[start])) for start, block in split]
+            replace(
+                split,
+                latent=np.vstack(
+                    [latent_by_start[start] for start in split.record_starts]
+                ),
+            )
             for split in dataset
         ]
 

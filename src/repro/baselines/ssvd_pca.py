@@ -18,6 +18,7 @@ Figures 4-6.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from repro.engine.metrics import JobStats
 from repro.errors import ShapeError
 from repro.jobs import mapreduce_jobs as mr
 from repro.jobs import ssvd_jobs
-from repro.linalg.blocks import Matrix, partition_rows
+from repro.linalg.blocks import Matrix, PartitionBlock, partition_rows
 from repro.obs import EventTrace, record_job_stats
 
 
@@ -119,9 +120,8 @@ class SSVDPCAMapReduce:
 
     # -- job chain ---------------------------------------------------------
 
-    def _splits(self, data: Matrix) -> list[list]:
-        blocks = partition_rows(data, self.runtime.cluster.total_cores)
-        return [[(block.start, block.data)] for block in blocks]
+    def _splits(self, data: Matrix) -> list[PartitionBlock]:
+        return partition_rows(data, self.runtime.cluster.total_cores, 1)
 
     def _mean_job(self, splits) -> np.ndarray:
         job = MapReduceJob(
@@ -184,7 +184,7 @@ class SSVDPCAMapReduce:
         basis_by_start = dict(basis_blocks)
         joined = [
             [(start, (basis_by_start[start], block)) for start, block in split]
-            for split in self._raw_splits(splits)
+            for split in splits
         ]
         job = MapReduceJob(
             name="BtJob",
@@ -214,21 +214,9 @@ class SSVDPCAMapReduce:
     def _densely_centered(splits, mean):
         """Without the PCA option the mappers receive densely centered blocks."""
         return [
-            [
-                (
-                    start,
-                    np.asarray(
-                        block.todense() if hasattr(block, "todense") else block
-                    )
-                    - mean,
-                )
-                for start, block in split
-            ]
+            replace(split, data=split.densified().data - mean)
             for split in splits
         ]
-
-    def _raw_splits(self, splits):
-        return [[(start, block) for start, block in split] for split in splits]
 
     def _model_from_b(self, small, data, mean, n_rows, centered_input=False) -> PCAModel:
         _, singular_values, vt = np.linalg.svd(small, full_matrices=False)

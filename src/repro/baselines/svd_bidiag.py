@@ -102,27 +102,29 @@ def _bidiagonal_svd(bidiagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     eigenvalues = np.clip(eigenvalues[order], 0.0, None)
     right = eigenvectors[:, order]
     singular_values = np.sqrt(eigenvalues)
+    # Squaring B leaves eigenvalue noise of order eps * sigma_max^2, so a
+    # zero singular value can come back as large as ~sqrt(eps) * sigma_max;
+    # ``B v / sigma`` is noise below that, and those columns are completed.
+    tolerance = max(1e-12, n * np.sqrt(np.finfo(np.float64).eps) * singular_values[0])
+    rank = int(np.sum(singular_values > tolerance))
     left = np.zeros((n, n))
-    for i, sigma in enumerate(singular_values):
-        if sigma > 1e-12:
-            left[:, i] = (bidiagonal @ right[:, i]) / sigma
+    for i in range(rank):
+        left[:, i] = (bidiagonal @ right[:, i]) / singular_values[i]
     # Orthonormal completion for the null space columns.
-    rank = int(np.sum(singular_values > 1e-12))
     if rank < n:
-        q, _ = np.linalg.qr(left[:, :rank] if rank else np.eye(n, 1))
-        completion = _null_completion(q if rank else np.zeros((n, 0)), n)
-        left[:, rank:] = completion[:, : n - rank]
+        left[:, rank:] = _null_completion(left[:, :rank], n - rank)
     return left, singular_values, right.T
 
 
-def _null_completion(basis: np.ndarray, n: int) -> np.ndarray:
-    """Columns orthonormal to *basis* spanning the rest of R^n."""
-    full = np.eye(n)
-    if basis.shape[1]:
-        full = full - basis @ (basis.T @ full)
-    q, r = np.linalg.qr(full)
-    keep = np.abs(np.diag(r)) > 1e-10
-    return q[:, keep]
+def _null_completion(basis: np.ndarray, count: int) -> np.ndarray:
+    """*count* orthonormal columns orthogonal to the orthonormal *basis*.
+
+    They are the leading left singular vectors of the projector
+    ``I - basis basis'`` onto the complement, whose singular values are
+    exactly ``count`` ones and ``rank`` zeros.
+    """
+    projector = np.eye(basis.shape[0]) - basis @ basis.T
+    return np.linalg.svd(projector)[0][:, :count]
 
 
 def svd_bidiag(

@@ -24,8 +24,11 @@ Segments are owned by the *creating* process through a
   and an ``atexit`` hook unlink whatever remains;
 - finalizers inherited by forked workers are pid-guarded: only the process
   that created a segment may unlink it;
-- workers unregister attached segments from ``resource_tracker`` so a
-  worker's exit neither warns about nor destroys segments it merely mapped.
+- forked and spawned workers share the creator's ``resource_tracker`` and
+  leave its registration alone, so the creator's unlink drops it exactly
+  once; a process attaching through a tracker of its own unregisters the
+  segment there, so its exit neither warns about nor destroys segments it
+  merely mapped.
 
 ``active_segments()`` exposes the registry's live set, which the leak tests
 assert is empty after executor shutdown.
@@ -41,12 +44,14 @@ import atexit
 import os
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from multiprocessing import shared_memory
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
+
+from repro.linalg.blocks import RowBlock
 
 # Arrays smaller than this ride the ordinary pickle path: a shared-memory
 # segment costs a file descriptor and a page-granular allocation, which only
@@ -221,8 +226,10 @@ def encode_payload(
 ) -> Any:
     """Replace large arrays inside *obj* with shared-memory references.
 
-    Walks lists, tuples, and dicts; dense ndarrays and CSR/CSC matrices at
-    or above *threshold* bytes become refs, everything else is returned
+    Walks lists, tuples, dicts and the fields of row blocks (so a
+    :class:`~repro.linalg.blocks.PartitionBlock` split ships its rows the
+    way a list of records does); dense ndarrays and CSR/CSC matrices at or
+    above *threshold* bytes become refs, everything else is returned
     unchanged (and travels by pickle).  The returned structure is what a
     worker hands to :func:`decode_payload`.
     """
@@ -241,13 +248,7 @@ def encode_payload(
                     *(encode(part) for part in parts),
                 )
             return value
-        if isinstance(value, tuple):
-            return tuple(encode(item) for item in value)
-        if isinstance(value, list):
-            return [encode(item) for item in value]
-        if isinstance(value, dict):
-            return {key: encode(item) for key, item in value.items()}
-        return value
+        return _walk(value, encode)
 
     return encode(obj)
 
@@ -258,23 +259,36 @@ def encode_payload(
 # ships the same source array, so the map stays small and hot.
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 _ATTACH_LOCK = threading.Lock()
+# (pid, tracker pid) of a resource tracker this process launched itself by
+# attaching, as opposed to one it shares with the segments' creator.
+_OWN_TRACKER: tuple[int, int | None] | None = None
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
+    global _OWN_TRACKER
     with _ATTACH_LOCK:
         segment = _ATTACHED.get(name)
         if segment is not None:
             return segment
-        segment = shared_memory.SharedMemory(name=name)
-        # Attaching registered the segment with this process's resource
-        # tracker, which would unlink it when *this* process exits -- but the
-        # creating process owns the segment.  Undo the registration.
-        try:  # pragma: no cover - depends on resource_tracker internals
-            from multiprocessing import resource_tracker
+        from multiprocessing import resource_tracker
 
-            resource_tracker.unregister(segment._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:
-            pass
+        tracker = resource_tracker._resource_tracker  # type: ignore[attr-defined]
+        # Processes multiprocessing forks or spawns inherit the creator's
+        # tracker connection (``_fd``), and so does the creator itself: the
+        # attach's registration lands in the creator's tracker, where the
+        # creator's unlink drops it once.  Unregistering there would drop
+        # the creator's entry first, and its unlink would then make the
+        # tracker print a ``KeyError`` traceback.  Only a tracker this
+        # process launched by attaching would unlink the segment when this
+        # process exits, so only that registration is undone.
+        own = tracker._fd is None or _OWN_TRACKER == (os.getpid(), tracker._pid)
+        segment = shared_memory.SharedMemory(name=name)
+        if own:
+            try:  # pragma: no cover - depends on resource_tracker internals
+                resource_tracker.unregister(segment._name, "shared_memory")  # type: ignore[attr-defined]
+            except Exception:
+                pass
+            _OWN_TRACKER = (os.getpid(), tracker._pid)
         _ATTACHED[name] = segment
         return segment
 
@@ -290,12 +304,21 @@ def decode_payload(obj: Any) -> Any:
             parts = (decode(value.data), decode(value.indices), decode(value.indptr))
             cls = sp.csr_matrix if value.format == "csr" else sp.csc_matrix
             return cls(parts, shape=value.shape, copy=False)
-        if isinstance(value, tuple):
-            return tuple(decode(item) for item in value)
-        if isinstance(value, list):
-            return [decode(item) for item in value]
-        if isinstance(value, dict):
-            return {key: decode(item) for key, item in value.items()}
-        return value
+        return _walk(value, decode)
 
     return decode(obj)
+
+
+def _walk(value: Any, fn: Callable[[Any], Any]) -> Any:
+    """Apply *fn* to the items of a container payload; leaves pass through."""
+    if isinstance(value, tuple):
+        return tuple(fn(item) for item in value)
+    if isinstance(value, list):
+        return [fn(item) for item in value]
+    if isinstance(value, dict):
+        return {key: fn(item) for key, item in value.items()}
+    if isinstance(value, RowBlock):
+        return replace(
+            value, **{f.name: fn(getattr(value, f.name)) for f in fields(value)}
+        )
+    return value

@@ -12,22 +12,25 @@ matrices across all of its input and emits them once, from ``cleanup``.
 Batch protocol
 --------------
 
-``map_batch`` / ``reduce_batch`` are the batched fast path: the runtime
-hands a mapper its whole split (and a reducer its whole sorted key-group
-list) in one call, so a vectorizing override can replace N per-record
-Python/numpy dispatches with one stacked kernel call.  The base-class
-implementations fall back to the per-record ``map``/``reduce`` hooks, so
-every existing job runs unchanged -- overriding the batch hook is purely an
-optimization and must preserve the per-record semantics (same emitted
-records up to floating-point summation order, same counters, same output
-shapes and therefore byte accounting).
+``map_batch`` is the batched fast path: the runtime hands a mapper its
+whole split in one call.  A split is any iterable of ``(key, value)``
+records; the sPCA backend loads each one as a
+:class:`~repro.linalg.blocks.PartitionBlock`, whose records are already one
+contiguous block, so a combining mapper's override maps ``split.value`` in
+a single kernel call and nothing is stacked per job.  The base-class
+implementation falls back to the per-record ``map`` hook, so every job runs
+unchanged -- overriding it is purely an optimization and must preserve the
+per-record semantics (same emitted records up to floating-point summation
+order, same counters, same output shapes and therefore byte accounting).
+Reducers have no batch hook: the runtime calls ``reduce`` once per key, in
+sorted key order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 Pair = tuple[Any, Any]
 
@@ -55,7 +58,7 @@ class Mapper:
         """Process one record; yield zero or more (key, value) pairs."""
         yield key, value
 
-    def map_batch(self, records: Sequence[Pair], ctx: TaskContext) -> list[Pair]:
+    def map_batch(self, split: Iterable[Pair], ctx: TaskContext) -> list[Pair]:
         """Process one whole split; falls back to per-record :meth:`map`.
 
         Override to vectorize across the split's records.  An override must
@@ -63,7 +66,7 @@ class Mapper:
         same counter increments as the per-record path would.
         """
         output: list[Pair] = []
-        for key, value in records:
+        for key, value in split:
             output.extend(self.map(key, value, ctx))
         return output
 
@@ -81,18 +84,6 @@ class Reducer:
     def reduce(self, key: Any, values: list[Any], ctx: TaskContext) -> Iterator[Pair]:
         """Process all values of one key; yield zero or more pairs."""
         yield key, values
-
-    def reduce_batch(
-        self, groups: Sequence[tuple[Any, list[Any]]], ctx: TaskContext
-    ) -> list[Pair]:
-        """Process every (key, values) group of a task; falls back to
-        per-key :meth:`reduce`.  Groups arrive in the runtime's sorted key
-        order; an override must preserve that emission order.
-        """
-        output: list[Pair] = []
-        for key, values in groups:
-            output.extend(self.reduce(key, values, ctx))
-        return output
 
     def cleanup(self, ctx: TaskContext) -> Iterable[Pair]:
         """Called once after the last key; may emit final pairs."""

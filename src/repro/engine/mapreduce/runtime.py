@@ -16,7 +16,7 @@ import time
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class ResidentDataset:
 
     def __init__(
         self,
-        splits: Sequence[Sequence[Pair]],
+        splits: Sequence[Iterable[Pair]],
         refs: Sequence[ResidentPayloadRef],
     ):
         if len(splits) != len(refs):
@@ -62,7 +62,7 @@ class ResidentDataset:
                 f"resident dataset needs one ref per split, got "
                 f"{len(splits)} splits and {len(refs)} refs"
             )
-        self.splits: list[list[Pair]] = [list(split) for split in splits]
+        self.splits: list[Iterable[Pair]] = list(splits)
         self.refs: list[ResidentPayloadRef] = list(refs)
 
     def __len__(self) -> int:
@@ -138,7 +138,7 @@ def _run_map_once(
 
 
 def _run_reduce_once(
-    template, config: dict, job_name: str, pairs, task_id: int, enable_batch: bool
+    template, config: dict, job_name: str, pairs, task_id: int
 ) -> tuple[list[Pair], TaskContext]:
     reducer: Reducer = _instantiate(template)
     ctx = TaskContext(job_name, task_id, dict(config))
@@ -146,13 +146,9 @@ def _run_reduce_once(
     groups: dict[Any, list[Any]] = defaultdict(list)
     for key, value in pairs:
         groups[key].append(value)
-    ordered = [(key, groups[key]) for key in sorted(groups, key=repr)]
-    if enable_batch:
-        output = list(reducer.reduce_batch(ordered, ctx))
-    else:
-        output = []
-        for key, values in ordered:
-            output.extend(reducer.reduce(key, values, ctx))
+    output: list[Pair] = []
+    for key in sorted(groups, key=repr):
+        output.extend(reducer.reduce(key, groups[key], ctx))
     output.extend(reducer.cleanup(ctx))
     return output, ctx
 
@@ -197,9 +193,7 @@ def _execute_stage_task(payload) -> _StageTaskOutcome:
                 template, config, job_name, data, task_id, enable_batch
             )
         else:
-            result, ctx = _run_reduce_once(
-                template, config, job_name, data, task_id, enable_batch
-            )
+            result, ctx = _run_reduce_once(template, config, job_name, data, task_id)
         elapsed = time.perf_counter() - started
         if factor != 1.0:
             elapsed *= factor
@@ -245,11 +239,11 @@ class MapReduceRuntime:
             with the historical inline coin flip).  Stage directives a plan
             issues for Spark-only faults (executor loss, driver memory caps)
             are ignored here: MapReduce tasks restart from durable HDFS.
-        enable_batch: when True (default) tasks are dispatched through the
-            ``map_batch``/``reduce_batch`` protocol, which vectorizing
-            mappers override; when False every record goes through the
-            per-record ``map``/``reduce`` hooks, ignoring batch overrides
-            (the regression-harness baseline).
+        enable_batch: when True (default) each map task hands its whole
+            split to ``map_batch``, which the combining sPCA mappers
+            override to read the split's block in one kernel call; when
+            False every record goes through the per-record ``map`` hook,
+            ignoring batch overrides (the regression-harness baseline).
         executor: a :class:`~repro.engine.exec.TaskExecutor`, an executor
             name (``serial``/``threads``/``processes``), or None for serial.
             Concurrent executors run a stage's independent tasks in
@@ -290,15 +284,17 @@ class MapReduceRuntime:
     # -- public API ------------------------------------------------------
 
     def run(
-        self, job: MapReduceJob, input_data: str | Sequence[Sequence[Pair]]
+        self, job: MapReduceJob, input_data: str | Sequence[Iterable[Pair]]
     ) -> list[Pair]:
         """Run one job; returns its output records and records JobStats.
 
         Args:
             job: the job description.
             input_data: either an HDFS path (the file is read and split one
-                split per core) or an explicit list of splits, each a list of
-                (key, value) records.
+                split per core) or an explicit list of splits, each an
+                iterable of (key, value) records -- a list, or the
+                :class:`~repro.linalg.blocks.PartitionBlock` a backend laid
+                out at load.
         """
         started = time.perf_counter()
         stats = JobStats(
@@ -333,7 +329,7 @@ class MapReduceRuntime:
 
     def _resolve_splits(
         self, input_data, stats: JobStats
-    ) -> tuple[list[list[Pair]], "list[ResidentPayloadRef] | None"]:
+    ) -> tuple[list[Iterable[Pair]], "list[ResidentPayloadRef] | None"]:
         if isinstance(input_data, str):
             records = self.hdfs.read(input_data)
             stats.hdfs_read_bytes += self.hdfs.size(input_data)
@@ -347,7 +343,7 @@ class MapReduceRuntime:
             splits = input_data.splits
             refs = input_data.refs
         else:
-            splits = [list(split) for split in input_data]
+            splits = list(input_data)
         if not splits:
             raise InvalidPlanError("job has no input splits")
         # MapReduce reads its input from the distributed filesystem on every
@@ -558,9 +554,7 @@ class MapReduceRuntime:
     def _run_reduce_like(
         self, template, job, pairs, task_id: int
     ) -> tuple[list[Pair], TaskContext]:
-        return _run_reduce_once(
-            template, job.config, job.name, pairs, task_id, self.enable_batch
-        )
+        return _run_reduce_once(template, job.config, job.name, pairs, task_id)
 
     def _merge_counters(self, ctx: TaskContext, stats: JobStats) -> None:
         for counter, amount in ctx.counters.items():

@@ -140,10 +140,9 @@ class SparkContext:
             bit-compatible with the historical inline coin flip).  Stage
             directives can lose an executor (its cached blocks recompute
             from lineage, charged as recovery time) or cap the driver heap.
-        enable_batch: when True (default) RDDs built with a ``batch_fn`` and
-            backends that support partition-batched closures use the batched
-            fast path; when False every record goes through the per-record
-            closures (the regression-harness baseline).
+        enable_batch: when True (default) the sPCA backend's closures read
+            each cached partition block whole; when False they walk its
+            records one at a time (the regression-harness baseline).
         executor: a :class:`~repro.engine.exec.TaskExecutor`, an executor
             name (``serial``/``threads``/``processes``), or None for serial.
             Concurrent executors evaluate a stage's partitions in parallel

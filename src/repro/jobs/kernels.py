@@ -36,14 +36,13 @@ def _densify(block: Matrix) -> np.ndarray:
 def stack_blocks(blocks: list[Matrix]) -> Matrix:
     """Vertically stack row blocks into one block for a batched kernel call.
 
-    This is the work-horse of the batch record pipeline: a mapper handed a
-    whole split of fine-grained row blocks stacks them once and runs each
-    per-block kernel a single time, replacing N small scipy/numpy dispatches
-    (each dominated by fixed overhead at paper-style record granularity) with
-    one big one.  A single block is returned as-is, which keeps the batch
-    path bit-identical to the per-record path for the default one-block
-    splits.  All-sparse inputs stay sparse (CSR); any dense block densifies
-    the stack, mirroring how the per-record kernels treat dense input.
+    The streaming windower and the serving batcher gather rows that arrive
+    as separate blocks and stack them once, so each per-block kernel runs a
+    single time instead of once per small block.  (The batch engines need
+    no stacking: each split or partition is laid out as one block at load.)
+    A single block is returned as-is.  All-sparse inputs stay sparse (CSR);
+    any dense block densifies the stack, mirroring how the per-record
+    kernels treat dense input.
     """
     if not blocks:
         raise ShapeError("cannot stack an empty list of blocks")
@@ -55,7 +54,7 @@ def stack_blocks(blocks: list[Matrix]) -> Matrix:
 
 
 def stack_latents(latents: list[np.ndarray]) -> np.ndarray:
-    """Stack pre-materialized X blocks alongside their Y blocks."""
+    """Stack X blocks row-wise (a single block is returned as-is)."""
     if not latents:
         raise ShapeError("cannot stack an empty list of latent blocks")
     if len(latents) == 1:
@@ -220,16 +219,3 @@ def block_error_parts(
 def error_from_colsums(residual_colsums: np.ndarray, magnitude_colsums: np.ndarray) -> float:
     """Final induced-1-norm error from the summed per-column vectors."""
     return float(residual_colsums.max()) / max(float(magnitude_colsums.max()), 1e-300)
-
-
-@contract(latent="dense (b, d)", ret="int")
-def latent_block_bytes(latent: np.ndarray) -> int:
-    """Bytes a materialized X block would occupy as intermediate data."""
-    return int(np.asarray(latent).nbytes)
-
-
-@contract(block="matrix (b, D)", ret="int")
-def densified_bytes(block: Matrix) -> int:
-    """Bytes of the dense centered copy the no-mean-propagation path builds."""
-    rows, cols = block.shape
-    return int(rows * cols * np.dtype(np.float64).itemsize)

@@ -1,7 +1,10 @@
 """The sPCA MapReduce jobs of Section 4.1.
 
 Input records are ``(start_row, block)`` pairs where *block* is a CSR or
-dense row block.  Small matrices (Ym, CM, Xm, C) travel in the job
+dense row block.  Each input split is the
+:class:`~repro.linalg.blocks.PartitionBlock` the backend laid out at load:
+the combining mappers map its rows in one call, and the per-record paths
+iterate its records.  Small matrices (Ym, CM, Xm, C) travel in the job
 configuration -- the simulator's stand-in for Hadoop's DistributedCache.
 
 The YtX mapper demonstrates the paper's *stateful combiner*: instead of
@@ -14,6 +17,7 @@ writes them once from ``cleanup``.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.engine.mapreduce.api import Mapper, Reducer
 from repro.jobs.backends import KERNEL_OPS
@@ -41,7 +45,18 @@ class MatrixSumReducer(Reducer):
         yield key, total
 
 
-class MeanMapper(Mapper):
+class _BlockMapper(Mapper):
+    """A combining mapper: one :meth:`map` call over the split's whole block.
+
+    Its partials add across rows, so mapping the block's rows at once emits
+    the same records from ``cleanup`` as mapping record by record.
+    """
+
+    def map_batch(self, split, ctx):
+        return list(self.map(split.start, split.value, ctx))
+
+
+class MeanMapper(_BlockMapper):
     """meanJob: per-split column sums and row counts, emitted from cleanup."""
 
     def setup(self, ctx):
@@ -54,21 +69,13 @@ class MeanMapper(Mapper):
         self.count += rows
         return ()
 
-    def map_batch(self, records, ctx):
-        if records:
-            stacked = KERNEL_OPS.stack([value for _, value in records])
-            sums, rows = KERNEL_OPS.sums(stacked)
-            self.sums = sums if self.sums is None else self.sums + sums
-            self.count += rows
-        return []
-
     def cleanup(self, ctx):
         if self.sums is not None:
             yield KEY_SUMS, self.sums
             yield KEY_COUNT, self.count
 
 
-class FnormMapper(Mapper):
+class FnormMapper(_BlockMapper):
     """FnormJob: per-split share of ||Yc||_F^2.
 
     Config: ``mean`` (Ym), ``efficient`` (Algorithm 3 vs Algorithm 2).
@@ -83,19 +90,11 @@ class FnormMapper(Mapper):
         )
         return ()
 
-    def map_batch(self, records, ctx):
-        if records:
-            stacked = KERNEL_OPS.stack([value for _, value in records])
-            self.total += KERNEL_OPS.frobenius(
-                stacked, ctx.config["mean"], ctx.config["efficient"]
-            )
-        return []
-
     def cleanup(self, ctx):
         yield KEY_FNORM, self.total
 
 
-class YtXMapper(Mapper):
+class YtXMapper(_BlockMapper):
     """The consolidated YtXJob mapper with a stateful combiner.
 
     Config: ``mean``, ``projector`` (CM), ``latent_mean`` (Xm),
@@ -117,25 +116,6 @@ class YtXMapper(Mapper):
 
     def map(self, key, value, ctx):
         block, latent = _split_value(value)
-        self._consume(block, latent, ctx)
-        return ()
-
-    def map_batch(self, records, ctx):
-        if records:
-            blocks, latents = [], []
-            for _, value in records:
-                block, latent = _split_value(value)
-                blocks.append(block)
-                latents.append(latent)
-            stacked_latent = (
-                KERNEL_OPS.stack_latents(latents) if latents[0] is not None else None
-            )
-            self._consume(KERNEL_OPS.stack(blocks), stacked_latent, ctx)
-        return []
-
-    def _consume(self, block, latent, ctx):
-        import scipy.sparse as sp
-
         config = ctx.config
         mean_prop = config["mean_propagation"]
         if latent is None:
@@ -150,24 +130,18 @@ class YtXMapper(Mapper):
                 if self.xsum_partial is None
                 else self.xsum_partial + latent.sum(axis=0)
             )
-        elif mean_prop:
-            ytx = KERNEL_OPS.ytx_xtx(
-                block, config["mean"], config["projector"],
-                config["latent_mean"], True, latent=latent,
-            )[0]
         else:
             ytx = KERNEL_OPS.ytx_xtx(
                 block, config["mean"], config["projector"],
-                config["latent_mean"], False, latent=latent,
+                config["latent_mean"], mean_prop, latent=latent,
             )[0]
         xtx = latent.T @ latent
         ctx.increment("ytx/rows", block.shape[0])
         self.ytx_partial = ytx if self.ytx_partial is None else self.ytx_partial + ytx
         self.xtx_partial = xtx if self.xtx_partial is None else self.xtx_partial + xtx
+        return ()
 
     def cleanup(self, ctx):
-        import scipy.sparse as sp
-
         if self.ytx_partial is None:
             return
         if self.xsum_partial is not None:
@@ -209,10 +183,9 @@ class NaiveYtXMapper(YtXMapper):
         yield KEY_YTX, ytx
         yield KEY_XTX, xtx
 
-    def map_batch(self, records, ctx):
-        # Stacking would silently reinstate the combiner this ablation
-        # removes; keep the naive per-record dataflow under batching too.
-        return Mapper.map_batch(self, records, ctx)
+    # Mapping the block whole would silently reinstate the combiner this
+    # ablation removes; keep the naive per-record dataflow under batching.
+    map_batch = Mapper.map_batch
 
 
 class XMaterializeMapper(Mapper):
@@ -233,24 +206,8 @@ class XMaterializeMapper(Mapper):
         )
         yield key, latent
 
-    def map_batch(self, records, ctx):
-        # Output is keyed per record (downstream joins X blocks back to
-        # their Y blocks by start row), so the batch path keeps per-record
-        # kernel calls and only drops the per-record generator machinery.
-        config = ctx.config
-        return [
-            (
-                key,
-                KERNEL_OPS.latent(
-                    value, config["mean"], config["projector"],
-                    config["latent_mean"], config["mean_propagation"],
-                ),
-            )
-            for key, value in records
-        ]
 
-
-class SS3Mapper(Mapper):
+class SS3Mapper(_BlockMapper):
     """ss3Job: per-split share of ``sum_n X_n * C' * Yc_n'``.
 
     Config adds ``components`` (the freshly updated C).
@@ -272,33 +229,11 @@ class SS3Mapper(Mapper):
         )
         return ()
 
-    def map_batch(self, records, ctx):
-        if records:
-            blocks, latents = [], []
-            for _, value in records:
-                block, latent = _split_value(value)
-                blocks.append(block)
-                latents.append(latent)
-            self.total += KERNEL_OPS.ss3(
-                KERNEL_OPS.stack(blocks),
-                ctx.config["mean"],
-                ctx.config["projector"],
-                ctx.config["latent_mean"],
-                ctx.config["components"],
-                ctx.config["mean_propagation"],
-                latent=(
-                    KERNEL_OPS.stack_latents(latents)
-                    if latents[0] is not None
-                    else None
-                ),
-            )
-        return []
-
     def cleanup(self, ctx):
         yield KEY_SS3, self.total
 
 
-class ErrorMapper(Mapper):
+class ErrorMapper(_BlockMapper):
     """Reconstruction-error job over a per-task row sample.
 
     Config: ``mean``, ``components``, ``ls_projector``, ``sample_fraction``,
@@ -326,27 +261,12 @@ class ErrorMapper(Mapper):
         self.magnitude = magnitude if self.magnitude is None else self.magnitude + magnitude
         return ()
 
-    def map_batch(self, records, ctx):
+    def map_batch(self, split, ctx):
         if ctx.config["sample_fraction"] < 1.0:
             # Row sampling is seeded per record key; batching would change
             # which rows get sampled, so keep the per-record path.
-            return Mapper.map_batch(self, records, ctx)
-        if records:
-            stacked = KERNEL_OPS.stack([value for _, value in records])
-            residual, magnitude = KERNEL_OPS.error_parts(
-                stacked,
-                ctx.config["mean"],
-                ctx.config["components"],
-                ctx.config["ls_projector"],
-                ctx.config["mean_propagation"],
-            )
-            self.residual = (
-                residual if self.residual is None else self.residual + residual
-            )
-            self.magnitude = (
-                magnitude if self.magnitude is None else self.magnitude + magnitude
-            )
-        return []
+            return Mapper.map_batch(self, split, ctx)
+        return super().map_batch(split, ctx)
 
     def cleanup(self, ctx):
         if self.residual is not None:

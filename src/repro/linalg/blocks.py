@@ -74,21 +74,41 @@ class PartitionBlock(RowBlock):
     """One partition's rows held as a single block, grouping several records.
 
     The block is laid out once, when the dataset is loaded: a CSR row slice
-    of the input, or a view of its dense rows.  Batched kernels read
-    :attr:`data` whole; the per-record paths walk :meth:`records`.
+    of the input, or a view of its dense rows.  It is both a Spark partition
+    element and a whole MapReduce input split.  Batched kernels read
+    :attr:`data` whole; the per-record paths iterate the block, which yields
+    its ``(start, rows)`` records, and ``len()`` counts them.
 
     Attributes:
         record_starts: global start row of each record, in row order; the
             first is :attr:`start`.
+        latent: the materialized-X ablation's latent rows, joined in the
+            block's row order, or None.  When set, :attr:`value` and every
+            record's value are ``(rows, latent rows)`` pairs.
     """
 
     record_starts: tuple[int, ...]
+    latent: np.ndarray | None = None
 
-    def records(self) -> Iterator[tuple[int, Matrix]]:
-        """Yield ``(start, rows)`` for each record, as slices of the block."""
+    @property
+    def value(self) -> "Matrix | tuple[Matrix, np.ndarray]":
+        """The whole block as one record value: its rows, or (rows, X rows)."""
+        return self.data if self.latent is None else (self.data, self.latent)
+
+    def records(self) -> Iterator[tuple[int, object]]:
+        """Yield ``(start, value)`` for each record, as slices of the block."""
         stops = self.record_starts[1:] + (self.stop,)
         for lo, hi in zip(self.record_starts, stops):
-            yield lo, self.data[lo - self.start : hi - self.start]
+            rows = slice(lo - self.start, hi - self.start)
+            if self.latent is None:
+                yield lo, self.data[rows]
+            else:
+                yield lo, (self.data[rows], self.latent[rows])
+
+    __iter__ = records
+
+    def __len__(self) -> int:
+        return len(self.record_starts)
 
 
 def block_nbytes(matrix: Matrix) -> int:

@@ -3,8 +3,8 @@
 The windower is the boundary that makes streaming results reproducible:
 however the source batches its rows, the sequence of emitted windows is a
 pure function of the row order and the :class:`WindowSpec`.  Each window is
-materialized by stacking the buffered pieces (the same
-:func:`~repro.jobs.kernels.stack_blocks` the batch pipeline uses), so a
+materialized by stacking the buffered pieces
+(:func:`~repro.jobs.kernels.stack_blocks`), so a
 window assembled from many small arrivals holds bit-identical values to one
 assembled from a single large arrival -- which is what lets the equivalence
 suite demand bitwise-equal models across arrival chunkings.

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.baselines import bidiagonalize, lanczos_svd, stochastic_svd, svd_bidiag
+from repro.baselines.svd_bidiag import _bidiagonal_svd
 from repro.errors import ShapeError
 from repro.metrics import subspace_angle_degrees
 
@@ -126,6 +127,24 @@ class TestSVDBidiag:
     def test_wide_rejected(self, rng):
         with pytest.raises(ShapeError):
             svd_bidiag(rng.normal(size=(5, 9)))
+
+    def test_rank_deficient_bidiagonal_gets_orthonormal_left_factor(self):
+        # Rank 2 of 3: the zero singular value's left vector is a completion.
+        bidiag = np.diag([1.0, 0.0, 2.0]) + np.diag([3.0, 0.0], 1)
+        u, s, vt = _bidiagonal_svd(bidiag)
+        np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(s, np.linalg.svd(bidiag, compute_uv=False), atol=1e-6)
+        np.testing.assert_allclose(u @ np.diag(s) @ vt, bidiag, atol=1e-6)
+
+    def test_rank_deficient_input_completes_every_null_column(self):
+        # Rank 3 of 6 columns: the completion must supply all three null
+        # columns, not just those a QR of the projector happens to keep.
+        rng = np.random.default_rng(4)
+        base = rng.normal(size=(40, 3))
+        data = np.hstack([base, base @ rng.normal(size=(3, 3))])
+        u, s, vt, _ = svd_bidiag(data)
+        np.testing.assert_allclose(u.T @ u, np.eye(6), atol=1e-10)
+        np.testing.assert_allclose(u @ np.diag(s) @ vt, data, atol=1e-6)
 
     def test_stats_reflect_table1_communication(self, rng):
         n, d_cols = 100, 20

@@ -180,14 +180,15 @@ def fit_spark(enable_batch):
 def test_spca_mapreduce_batch_accounting_is_bit_identical():
     model_batch, metrics_batch = fit_mapreduce(True)
     model_plain, metrics_plain = fit_mapreduce(False)
-    # Stacked kernels re-associate float sums, so results agree to close
+    # Whole-block kernels re-associate float sums, so results agree to close
     # tolerance rather than bitwise...
     np.testing.assert_allclose(
         model_batch.components, model_plain.components, rtol=1e-8, atol=1e-10
     )
     # ...but every byte of accounting must be bit-identical: the stateful
-    # mappers emit once per split from cleanup either way, and stacking never
-    # changes the shape, dtype, or sparsity pattern of what goes on the wire.
+    # mappers emit once per split from cleanup either way, and reading the
+    # block whole never changes the shape, dtype, or sparsity pattern of
+    # what goes on the wire.
     jobs_batch = metrics_batch.jobs
     jobs_plain = metrics_plain.jobs
     assert [job.name for job in jobs_batch] == [job.name for job in jobs_plain]
@@ -340,3 +341,126 @@ GOLDEN_CASES = [
 )
 def test_spark_fit_matches_golden_digests(case):
     assert golden_fit_digests(*case) == GOLDEN_DIGESTS["-".join(map(str, case))]
+
+
+# -- golden MapReduce fits across the split layout ----------------------------
+#
+# Digests of MapReduce fits captured while each split was still a list of
+# records that the batched mappers stacked on every job, before a split
+# became the block laid out at load.  Same grid and byte ledger as the Spark
+# digests above (every job, ``XJob`` included), plus the unoptimized
+# configuration and a processes executor with worker-resident splits.  At
+# 90 rows every case has at least ``splits * records_per_split`` rows, where
+# ``partition_rows`` groups records exactly as the list layout did.
+# Captured on x86-64 with numpy's bundled OpenBLAS.
+
+#: "kind-records_per_split-enable_batch-error_sample_fraction-
+#: use_x_recomputation[-variant]" -> (fit digest, byte-ledger digest).
+MR_GOLDEN_DIGESTS = {
+    "sparse-1-True-1.0-True": ('4a05873672de7499', '49f2089898dd7bad'),
+    "sparse-1-True-1.0-False": ('4a05873672de7499', 'f48767ad405a34ea'),
+    "sparse-1-True-0.5-True": ('5c444bceeeae169d', '49f2089898dd7bad'),
+    "sparse-1-True-0.5-False": ('5c444bceeeae169d', 'f48767ad405a34ea'),
+    "sparse-1-False-1.0-True": ('4a05873672de7499', '49f2089898dd7bad'),
+    "sparse-1-False-1.0-False": ('4a05873672de7499', 'f48767ad405a34ea'),
+    "sparse-1-False-0.5-True": ('5c444bceeeae169d', '49f2089898dd7bad'),
+    "sparse-1-False-0.5-False": ('5c444bceeeae169d', 'f48767ad405a34ea'),
+    "sparse-6-True-1.0-True": ('4a05873672de7499', 'f4b58e5075673f60'),
+    "sparse-6-True-1.0-False": ('4a05873672de7499', '2b567290d18e593b'),
+    "sparse-6-True-0.5-True": ('5e8ad62df25805cc', 'f4b58e5075673f60'),
+    "sparse-6-True-0.5-False": ('5e8ad62df25805cc', '2b567290d18e593b'),
+    "sparse-6-False-1.0-True": ('bbf3f809eef25105', 'f4b58e5075673f60'),
+    "sparse-6-False-1.0-False": ('bbf3f809eef25105', '2b567290d18e593b'),
+    "sparse-6-False-0.5-True": ('dfb2c16040fffcbe', 'f4b58e5075673f60'),
+    "sparse-6-False-0.5-False": ('dfb2c16040fffcbe', '2b567290d18e593b'),
+    "dense-1-True-1.0-True": ('dc70944872c5607f', '094b27e0df4ecf26'),
+    "dense-1-True-1.0-False": ('dc70944872c5607f', '4faa67f4eaf3aa04'),
+    "dense-1-True-0.5-True": ('a88f0e028dda7222', '094b27e0df4ecf26'),
+    "dense-1-True-0.5-False": ('a88f0e028dda7222', '4faa67f4eaf3aa04'),
+    "dense-1-False-1.0-True": ('dc70944872c5607f', '094b27e0df4ecf26'),
+    "dense-1-False-1.0-False": ('dc70944872c5607f', '4faa67f4eaf3aa04'),
+    "dense-1-False-0.5-True": ('a88f0e028dda7222', '094b27e0df4ecf26'),
+    "dense-1-False-0.5-False": ('a88f0e028dda7222', '4faa67f4eaf3aa04'),
+    "dense-6-True-1.0-True": ('dc70944872c5607f', 'e3ed3953b800b82f'),
+    "dense-6-True-1.0-False": ('2c812165ceab2c4e', 'edcb6738085c97e9'),
+    "dense-6-True-0.5-True": ('35d099c9a8740a99', 'e3ed3953b800b82f'),
+    "dense-6-True-0.5-False": ('1d34096d4f33004b', 'edcb6738085c97e9'),
+    "dense-6-False-1.0-True": ('038542882e2defc6', 'e3ed3953b800b82f'),
+    "dense-6-False-1.0-False": ('038542882e2defc6', 'edcb6738085c97e9'),
+    "dense-6-False-0.5-True": ('205b94cb7433c7e2', 'e3ed3953b800b82f'),
+    "dense-6-False-0.5-False": ('205b94cb7433c7e2', 'edcb6738085c97e9'),
+    "sparse-6-True-1.0-False-unoptimized": ('e6849e403f7fd569', '7cd074b19cc9017d'),
+    "dense-6-True-1.0-False-unoptimized": ('0eaef96aee95fd45', 'd413d2680dcbdf82'),
+    "sparse-6-True-1.0-False-processes": ('4a05873672de7499', '2b567290d18e593b'),
+    "dense-6-True-1.0-False-processes": ('2c812165ceab2c4e', 'edcb6738085c97e9'),
+}
+
+
+def mapreduce_fit_digests(kind, records, enable_batch, sample, recompute, variant=None):
+    import hashlib
+
+    config = SPCAConfig(
+        n_components=3, max_iterations=3, tolerance=0.0, seed=7,
+        error_sample_fraction=sample, use_x_recomputation=recompute,
+    )
+    if variant == "unoptimized":
+        config = config.unoptimized()
+    processes = variant == "processes"
+    runtime = MapReduceRuntime(
+        cluster=SMALL_CLUSTER, enable_batch=enable_batch,
+        executor="processes" if processes else None, workers=2 if processes else None,
+    )
+    backend = MapReduceBackend(
+        config, runtime=runtime, records_per_split=records, worker_resident=processes
+    )
+    try:
+        model, history = SPCA(config, backend).fit(GOLDEN_INPUTS[kind])
+    finally:
+        backend._unpin_resident()
+        runtime.executor.shutdown()
+    fit = hashlib.sha256(model.components.tobytes())
+    fit.update(np.float64(model.noise_variance).tobytes())
+    fit.update(np.array([it.error for it in history.iterations]).tobytes())
+    ledger = [
+        (job.name, *(getattr(job, field) for field in BYTE_FIELDS))
+        for job in runtime.metrics.jobs
+    ]
+    return (
+        fit.hexdigest()[:16],
+        hashlib.sha256(repr(ledger).encode()).hexdigest()[:16],
+    )
+
+
+MR_GOLDEN_CASES = GOLDEN_CASES + [
+    (kind, 6, True, 1.0, False, variant)
+    for variant in ("unoptimized", "processes")
+    for kind in ("sparse", "dense")
+]
+
+
+@pytest.mark.parametrize(
+    "case", MR_GOLDEN_CASES, ids=["-".join(map(str, case)) for case in MR_GOLDEN_CASES]
+)
+def test_mapreduce_fit_matches_golden_digests(case):
+    assert mapreduce_fit_digests(*case) == MR_GOLDEN_DIGESTS["-".join(map(str, case))]
+
+
+def test_short_input_splits_like_spark_partitions():
+    # 19 rows cannot fill 4 splits x 6 records: the records regroup, and
+    # both engines group them by the one rule, ``partition_rows``.
+    data = GOLDEN_INPUTS["dense"][:19]
+    config = SPCAConfig(n_components=2)
+    runtime = MapReduceRuntime(cluster=SMALL_CLUSTER)
+    splits = MapReduceBackend(config, runtime=runtime, records_per_split=6).load(data)
+    context = SparkContext(cluster=SMALL_CLUSTER)
+    partitions = SparkBackend(
+        config, context=context, records_per_partition=6
+    ).load(data).collect()
+    assert [(s.start, s.stop, s.record_starts) for s in splits] == [
+        (p.start, p.stop, p.record_starts) for p in partitions
+    ]
+    assert sum(len(split) for split in splits) == 19
+    output = MapReduceRuntime(cluster=SMALL_CLUSTER).run(
+        MapReduceJob(name="rows", mapper=Mapper()), splits
+    )
+    assert [start for start, _ in output] == list(range(19))

@@ -34,14 +34,10 @@ class RecordingBatchMapper(Mapper):
         return [(key, value * 10) for key, value in records]
 
 
-class RecordingBatchReducer(Reducer):
+class CountingReducer(Reducer):
     def reduce(self, key, values, ctx):
         ctx.increment("reduce_calls")
         yield key, sum(values)
-
-    def reduce_batch(self, groups, ctx):
-        ctx.increment("reduce_batch_calls")
-        return [(key, sum(values)) for key, values in groups]
 
 
 RECORDS = [(i % 3, i) for i in range(12)]
@@ -83,33 +79,11 @@ class TestMapReduceBatchDispatch:
         job = MapReduceJob(name="j", mapper=Doubler())
         assert batched.run(job, SPLITS) == plain.run(job, SPLITS)
 
-    def test_reduce_batch_dispatch(self):
-        runtime = small_runtime(enable_batch=True)
-        job = MapReduceJob(
-            name="j", mapper=Mapper(), reducer=RecordingBatchReducer()
-        )
-        output = dict(runtime.run(job, SPLITS))
-        stats = runtime.metrics.jobs[0]
-        assert stats.counters["reduce_batch_calls"] == 1
-        assert "reduce_calls" not in stats.counters
-        assert output == {0: 0 + 3 + 6 + 9, 1: 1 + 4 + 7 + 10, 2: 2 + 5 + 8 + 11}
-
-    def test_reduce_batch_disabled_uses_per_key_hook(self):
-        runtime = small_runtime(enable_batch=False)
-        job = MapReduceJob(
-            name="j", mapper=Mapper(), reducer=RecordingBatchReducer()
-        )
-        output = dict(runtime.run(job, SPLITS))
-        stats = runtime.metrics.jobs[0]
-        assert stats.counters["reduce_calls"] == 3
-        assert "reduce_batch_calls" not in stats.counters
-        assert output[0] == 18
-
     def test_batch_preserves_sorted_reduce_order(self):
         batched = small_runtime(enable_batch=True)
         plain = small_runtime(enable_batch=False)
-        job_b = MapReduceJob(name="j", mapper=Mapper(), reducer=RecordingBatchReducer())
-        job_p = MapReduceJob(name="j", mapper=Mapper(), reducer=RecordingBatchReducer())
+        job_b = MapReduceJob(name="j", mapper=Mapper(), reducer=CountingReducer())
+        job_p = MapReduceJob(name="j", mapper=Mapper(), reducer=CountingReducer())
         assert batched.run(job_b, SPLITS) == plain.run(job_p, SPLITS)
 
 
@@ -137,38 +111,6 @@ class TestShufflePartitioning:
         cache = _PartitionCache(5)
         for key in ["a", "b", "a", 3, (1, 2), "a"]:
             assert cache(key) == _hash_partition(key, 5)
-
-
-class TestSparkBatchDispatch:
-    def test_map_batch_fn_called_once_per_partition(self):
-        calls = []
-
-        def batch_fn(items):
-            calls.append(len(items))
-            return [item + 1 for item in items]
-
-        sc = SparkContext(cluster=ClusterSpec(num_nodes=1, cores_per_node=4))
-        rdd = sc.parallelize(range(20), num_partitions=4).map(
-            lambda item: item + 1, batch_fn=batch_fn
-        )
-        assert sorted(rdd.collect()) == list(range(1, 21))
-        assert calls == [5, 5, 5, 5]
-
-    def test_disabled_batching_uses_per_record_fn(self):
-        calls = []
-
-        def batch_fn(items):  # pragma: no cover - must not run
-            calls.append(len(items))
-            return items
-
-        sc = SparkContext(
-            cluster=ClusterSpec(num_nodes=1, cores_per_node=4), enable_batch=False
-        )
-        rdd = sc.parallelize(range(8), num_partitions=2).map(
-            lambda item: item * 3, batch_fn=batch_fn
-        )
-        assert sorted(rdd.collect()) == [i * 3 for i in range(8)]
-        assert calls == []
 
 
 class TestStackBlocks:
@@ -219,9 +161,13 @@ class TestRecordGranularity:
         splits = backend.load(data)
         assert len(splits) == 4  # one split per core
         assert sum(len(split) for split in splits) == 32  # 4 cores * 8 records
-        # Records keep their global row order within and across splits.
-        starts = [start for split in splits for start, _ in split]
-        assert starts == sorted(starts)
+        # Each split is one block; iterating it yields its records, bitwise
+        # the records a one-record-per-block split of 32 yields.
+        records = [record for split in splits for record in split]
+        expected = partition_rows(data, 32)
+        assert [start for start, _ in records] == [block.start for block in expected]
+        for (_, rows), block in zip(records, expected):
+            assert np.array_equal(rows, block.data)
 
     def test_mapreduce_rejects_invalid_granularity(self):
         with pytest.raises(InvalidPlanError):

@@ -242,31 +242,34 @@ def test_every_engine_looks_ops_up_at_call_time(engine, monkeypatch):
     used = {"sums", "frobenius", "ss3", "error_parts"}
     if engine == "sequential":
         used |= {"ytx_xtx"}
-    elif engine == "mapreduce":
-        used |= {"latent", "stack"}
     else:
-        # Spark reads each cached partition block whole and never stacks;
-        # test_batched_spark_fit_never_stacks asserts that.
+        # Both engines read each split or partition block whole and never
+        # stack; the test_batched_*_fit_never_stacks tests assert that.
         used |= {"latent"}
     assert {name for name, count in calls.items() if count} >= used, calls
 
 
-@pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
-@pytest.mark.parametrize("recompute", [True, False], ids=["recompute-x", "materialize-x"])
-def test_batched_spark_fit_never_stacks(sparse, recompute, monkeypatch):
-    # The partition block laid out at load is what every batched job reads:
-    # no job may rebuild it (or its X rows) from records.
-    from repro.backends import SparkBackend
+def assert_batched_fit_never_stacks(engine, sparse, recompute, monkeypatch):
+    # The block laid out at load -- a Spark partition or a MapReduce split --
+    # is what every batched job reads: no job may rebuild it (or its X rows)
+    # from records.
+    from repro.backends import MapReduceBackend, SparkBackend
     from repro.core import SPCA, SPCAConfig
     from repro.engine.cluster import ClusterSpec
+    from repro.engine.mapreduce.runtime import MapReduceRuntime
     from repro.engine.spark.context import SparkContext
     from repro.jobs.backends import KERNEL_OPS
 
     config = SPCAConfig(
         n_components=2, max_iterations=2, tolerance=0.0, use_x_recomputation=recompute
     )
-    context = SparkContext(cluster=ClusterSpec(num_nodes=1, cores_per_node=2))
-    backend = SparkBackend(config, context=context, records_per_partition=3)
+    cluster = ClusterSpec(num_nodes=1, cores_per_node=2)
+    if engine == "mapreduce":
+        runtime = MapReduceRuntime(cluster=cluster)
+        backend = MapReduceBackend(config, runtime=runtime, records_per_split=3)
+    else:
+        context = SparkContext(cluster=cluster)
+        backend = SparkBackend(config, context=context, records_per_partition=3)
     data = np.random.default_rng(5).normal(size=(48, 6))
     calls = {"stack": 0, "stack_latents": 0, "latent": 0}
 
@@ -284,3 +287,21 @@ def test_batched_spark_fit_never_stacks(sparse, recompute, monkeypatch):
     SPCA(config, backend).fit(sp.csr_matrix(data) if sparse else data)
     assert calls["latent"] > 0, calls  # the hook is live
     assert calls["stack"] == calls["stack_latents"] == 0, calls
+
+
+SPARSE_OR_DENSE = pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+RECOMPUTE_OR_MATERIALIZE = pytest.mark.parametrize(
+    "recompute", [True, False], ids=["recompute-x", "materialize-x"]
+)
+
+
+@SPARSE_OR_DENSE
+@RECOMPUTE_OR_MATERIALIZE
+def test_batched_spark_fit_never_stacks(sparse, recompute, monkeypatch):
+    assert_batched_fit_never_stacks("spark", sparse, recompute, monkeypatch)
+
+
+@SPARSE_OR_DENSE
+@RECOMPUTE_OR_MATERIALIZE
+def test_batched_mapreduce_fit_never_stacks(sparse, recompute, monkeypatch):
+    assert_batched_fit_never_stacks("mapreduce", sparse, recompute, monkeypatch)
