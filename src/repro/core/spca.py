@@ -16,6 +16,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.config import SPCAConfig, checkpointed_config
 
@@ -30,7 +31,7 @@ from repro.core.convergence import ConvergenceTracker, IterationStats, TrainingH
 from repro.core.initialization import random_initialization, smart_guess_initialization
 from repro.core.model import PCAModel
 from repro.core.ppca import fit_ppca
-from repro.errors import CheckpointError, ShapeError
+from repro.errors import CheckpointError, NonFiniteInputError, ShapeError
 from repro.linalg.blocks import Matrix
 from repro.obs import get_tracer
 from repro.obs.metrics import get_registry
@@ -70,10 +71,14 @@ class SPCA:
                 after every N-th iteration (a bare store means every
                 iteration); a killed run can then continue via
                 :meth:`resume` and produce the bit-identical final model.
+
+        Raises:
+            ShapeError: if ``n_components`` exceeds ``min(N, D)``.
+            NonFiniteInputError: if *data* holds a NaN or infinite cell.
         """
         config = self.config
         n_samples, n_features = data.shape
-        self._validate_shape(n_samples, n_features)
+        self._validate_input(data)
         tracer = get_tracer()
         with tracer.span(
             "run",
@@ -113,6 +118,7 @@ class SPCA:
         Raises:
             CheckpointError: if the store is empty or was written under a
                 different :class:`SPCAConfig`.
+            NonFiniteInputError: if *data* holds a NaN or infinite cell.
         """
         config = self.config
         ckpt = store.load_latest()
@@ -124,7 +130,7 @@ class SPCA:
                 f"stored {ckpt.config!r} vs current {asdict(config)!r}"
             )
         n_samples, n_features = data.shape
-        self._validate_shape(n_samples, n_features)
+        self._validate_input(data)
         checkpoint = (
             CheckpointPolicy(store, checkpoint_every)
             if checkpoint_every is not None
@@ -150,11 +156,22 @@ class SPCA:
             )
         return model, history
 
-    def _validate_shape(self, n_samples: int, n_features: int) -> None:
+    def _validate_input(self, data: Matrix) -> None:
+        n_samples, n_features = data.shape
         if self.config.n_components > min(n_samples, n_features):
             raise ShapeError(
                 f"n_components={self.config.n_components} exceeds "
                 f"min(N, D)={min(n_samples, n_features)}"
+            )
+        # min()/max() propagate NaN and surface +-inf without the full-size
+        # temporary np.isfinite(data).all() would allocate.
+        values = data.tocsr().data if sp.issparse(data) else np.asarray(data)
+        if values.size and not (
+            np.isfinite(values.min()) and np.isfinite(values.max())
+        ):
+            raise NonFiniteInputError(
+                f"input matrix ({n_samples} x {n_features}) contains NaN or "
+                "infinite values"
             )
 
     @staticmethod

@@ -3,7 +3,8 @@
 Three interchangeable backends run the independent tasks of a stage:
 
 ``serial``
-    A left-to-right loop on the calling thread; the bit-identical default.
+    A left-to-right loop on the calling thread, with no pool and no
+    driver-worker pipe; the default.
 ``threads``
     A ``ThreadPoolExecutor``; zero-copy by construction, parallel wherever
     the numpy/scipy kernels release the GIL.
@@ -11,10 +12,13 @@ Three interchangeable backends run the independent tasks of a stage:
     A ``ProcessPoolExecutor`` with shared-memory ndarray transport
     (:mod:`repro.engine.exec.shm`); real multi-core execution.
 
-All three honor the same determinism contract: results are committed in
-task-index order, so engine outputs, counters, byte totals, and trace-event
-multisets are identical across executors (property-tested in
-``tests/test_executor_equivalence.py``).
+Both engines run every stage through one path whatever the executor: fault
+plans are drawn for all tasks up front, the pure task bodies run on the
+executor, and the driver commits their outcomes in task-index order.  Engine
+outputs, counters, byte totals, and trace-event multisets are therefore
+identical across executors (property-tested in
+``tests/test_executor_equivalence.py``; faulted fits pinned in
+``tests/test_fault_goldens.py``).
 """
 
 from __future__ import annotations

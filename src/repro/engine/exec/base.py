@@ -7,13 +7,12 @@ order** regardless of completion order.  Everything with a side effect
 (counters, trace events, cache puts, accumulator updates, fault accounting)
 stays out of the executor: tasks return pure outcome records and the driver
 commits them in index order, which is what keeps every executor bit-identical
-to ``serial`` (see ``docs/engines.md``).
+to every other (see ``docs/engines.md``).
 
 Observability: concurrent executors emit an ``executor_dispatch`` event when
 a batch is submitted and an ``executor_join`` event when the last task
 finishes, carrying the per-task wall times.  The ``serial`` executor emits
-nothing so traces from the default configuration are byte-identical to the
-pre-executor engine.
+neither, so the default configuration's traces carry no executor events.
 """
 
 from __future__ import annotations
@@ -38,7 +37,9 @@ class TaskExecutor:
 
     #: executor name as exposed on the CLI (`--executor ...`)
     name = "base"
-    #: True only for the serial executor (engines keep their legacy code path)
+    #: True only for the serial executor: tasks run inline on the calling
+    #: thread, with no driver-worker pipe (callers that pin or ship data
+    #: to workers skip that work when it is set)
     serial = False
 
     def __init__(self, workers: int = 1):

@@ -1,4 +1,4 @@
-"""The serial executor: today's behavior, bit-identical by construction."""
+"""The serial executor: a stage's tasks run inline, one after another."""
 
 from __future__ import annotations
 
@@ -10,10 +10,9 @@ from repro.engine.exec.base import TaskExecutor
 class SerialExecutor(TaskExecutor):
     """Runs tasks in a plain left-to-right loop on the calling thread.
 
-    Emits no executor events and the engines keep their legacy in-line code
-    path when they see ``serial=True``, so the default configuration is not
-    merely equivalent to the pre-executor engine -- it *is* the pre-executor
-    engine.
+    The engines drive it through the same planned, committed stage path as
+    every other executor; it only skips the pool and the driver-worker
+    pipe, and emits no executor events.
     """
 
     name = "serial"

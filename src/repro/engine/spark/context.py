@@ -88,14 +88,14 @@ class Accumulator:
 
 @dataclass
 class _TaskScope:
-    """Everything one concurrently-executing task attempt may observe/effect.
+    """Everything one task attempt may observe/effect.
 
-    Concurrent attempts must not touch shared driver state, so each attempt
-    runs against a scope: a shadow ``JobStats`` for byte charges, deferred
-    trace events, deferred cache puts (with a local overlay so the attempt
-    sees its own puts), staged accumulator updates, and the lineage-recompute
+    Task attempts never touch shared driver state, so each attempt runs
+    against a scope: a shadow ``JobStats`` for byte charges, deferred trace
+    events, deferred cache puts (with a local overlay so the attempt sees
+    its own puts), staged accumulator updates, and the lineage-recompute
     clock.  The driver commits scopes in task-index order, which is what
-    makes concurrent execution bit-identical to the serial loop.
+    makes every executor's run bit-identical whatever order tasks ran in.
     """
 
     stats: JobStats
@@ -145,13 +145,16 @@ class SparkContext:
             records one at a time (the regression-harness baseline).
         executor: a :class:`~repro.engine.exec.TaskExecutor`, an executor
             name (``serial``/``threads``/``processes``), or None for serial.
-            Concurrent executors evaluate a stage's partitions in parallel
-            and commit their side effects in partition-index order, keeping
-            results, counters, byte totals, and trace-event multisets
-            identical to serial.  Spark's partition functions are closures,
-            which no pickle pipe can carry, so a ``processes`` executor runs
-            stages on its thread-pool sibling (``closure_executor()``); the
-            dispatch events carry a ``fallback_from`` marker.
+            Every executor runs a stage the same way: fault plans for all
+            partitions are drawn up front, each partition runs as a scoped
+            task (inline for ``serial``, in parallel otherwise), and the
+            driver commits their side effects in partition-index order, so
+            results, counters, byte totals, and trace-event multisets are
+            identical across executors.  Spark's partition functions are
+            closures, which no pickle pipe can carry, so a ``processes``
+            executor runs stages on its thread-pool sibling
+            (``closure_executor()``); the dispatch events carry a
+            ``fallback_from`` marker.
         workers: worker count when ``executor`` is given by name.
     """
 
@@ -180,18 +183,15 @@ class SparkContext:
         self.faults = faults if faults is not None else RandomFaults(failure_rate, seed)
         self._next_rdd_id = 0
         self._stage_stats: JobStats | None = None
-        self._pending_updates: list[tuple[Accumulator, Any]] | None = None
-        # Lineage-recovery bookkeeping: cached blocks an injected executor
-        # loss destroyed (their recomputation is charged as recovery time),
-        # the put journal of the task attempt in flight (rolled back when
-        # the attempt fails), and the recompute clock RDD._iterator bills.
+        # Cached blocks an injected executor loss destroyed: whoever
+        # recomputes one from lineage charges it as recovery time.
         self._lost_blocks: set[tuple[int, int]] = set()
-        self._put_journal: list[tuple[int, int]] | None = None
-        self._recompute_seconds = 0.0
+        # Lost-block nesting depth of driver-side evaluation (task attempts
+        # track theirs in their _TaskScope).
         self._recompute_depth = 0
         self.executor = resolve_executor(executor, workers)
-        # Concurrent task attempts register a _TaskScope here; driver-side
-        # code (and the serial path) sees no scope and uses the fields above.
+        # Every task attempt registers a _TaskScope here on the thread that
+        # runs it; driver-side code sees no scope.
         self._task_local = threading.local()
 
     def _active_scope(self) -> _TaskScope | None:
@@ -299,44 +299,33 @@ class SparkContext:
         task_seconds = []
         recovery_seconds = []
         task_retries = []
+        # Fault decisions are drawn per partition up front, in index order;
+        # the partitions run as pure scoped tasks on the executor (inline
+        # for ``serial``); their side effects commit in index order below.
+        plans = [
+            self.faults.plan_task(
+                FaultSite("spark", name, "task", split, 0), self.max_task_attempts
+            )
+            for split in range(rdd.num_partitions)
+        ]
+
+        def run_one(split: int) -> list[_ScopedAttempt]:
+            return self._execute_partition_scoped(
+                rdd, split, partition_fn, name, plans[split]
+            )
+
         try:
-            if self.executor.serial:
-                for split in range(rdd.num_partitions):
-                    result, seconds, recovery, retries = self._attempt_partition(
-                        rdd, split, partition_fn, stats
-                    )
-                    results.append(result)
-                    task_seconds.append(seconds)
-                    recovery_seconds.append(recovery)
-                    task_retries.append(retries)
-            else:
-                # Fault decisions precomputed per partition in index order
-                # (the serial loop's draw order); pure scoped execution on
-                # the executor; side effects committed in index order below.
-                plans = [
-                    self.faults.plan_task(
-                        FaultSite("spark", name, "task", split, 0),
-                        self.max_task_attempts,
-                    )
-                    for split in range(rdd.num_partitions)
-                ]
-
-                def run_one(split: int) -> list[_ScopedAttempt]:
-                    return self._execute_partition_scoped(
-                        rdd, split, partition_fn, name, plans[split]
-                    )
-
-                attempt_lists = self.executor.closure_executor().run_tasks(
-                    run_one, list(range(rdd.num_partitions)), label=name
+            attempt_lists = self.executor.closure_executor().run_tasks(
+                run_one, list(range(rdd.num_partitions)), label=name
+            )
+            for split, attempts in enumerate(attempt_lists):
+                result, seconds, recovery, retries = self._commit_scoped_attempts(
+                    attempts, stats, split
                 )
-                for split, attempts in enumerate(attempt_lists):
-                    result, seconds, recovery, retries = (
-                        self._commit_scoped_attempts(attempts, stats, split)
-                    )
-                    results.append(result)
-                    task_seconds.append(seconds)
-                    recovery_seconds.append(recovery)
-                    task_retries.append(retries)
+                results.append(result)
+                task_seconds.append(seconds)
+                recovery_seconds.append(recovery)
+                task_retries.append(retries)
         finally:
             self._stage_stats = previous
         result_bytes = sizeof(results)
@@ -407,69 +396,7 @@ class SparkContext:
         self.metrics.record(stats)
         return results
 
-    def _attempt_partition(
-        self, rdd, split, partition_fn, stats
-    ) -> tuple[Any, float, float, int]:
-        """Run one partition, retrying on injected faults.
-
-        Returns ``(result, success_seconds, recovery_seconds, retries)``:
-        the successful attempt's own compute time (what speculative
-        execution may cap) separated from the recovery time -- failed
-        attempts plus lineage recomputation of lost cached blocks, which
-        no speculative copy can refund.
-        """
-        tracer = get_tracer()
-        recovery_seconds = 0.0
-        for attempt in range(1, self.max_task_attempts + 1):
-            self._pending_updates = []
-            self._put_journal = []
-            self._recompute_seconds = 0.0
-            started = time.perf_counter()
-            data = rdd._iterator(split, stats)
-            result = partition_fn(data)
-            elapsed = time.perf_counter() - started
-            site = FaultSite("spark", stats.name, "task", split, attempt)
-            factor = self.faults.time_factor(site)
-            if factor != 1.0:
-                elapsed *= factor
-                stats.count_fault("straggler")
-                if tracer.enabled:
-                    tracer.event(
-                        "fault_injected", fault="straggler", job=stats.name,
-                        kind="task", task=split, attempt=attempt, factor=factor,
-                    )
-            recompute = min(self._recompute_seconds, elapsed)
-            label = self.faults.fail(site)
-            if label is None:
-                pending, self._pending_updates = self._pending_updates, None
-                self._put_journal = None
-                for accumulator, update in pending:
-                    accumulator._apply(update)
-                recovery_seconds += recompute
-                return result, elapsed - recompute, recovery_seconds, attempt - 1
-            # The attempt failed after doing its work: its cached puts are
-            # rolled back (the executor that held them died with the task)
-            # and all of its time becomes recovery time.
-            journal, self._put_journal = self._put_journal, None
-            for rdd_id, journal_split in journal:
-                self.block_manager.evict_matching(
-                    lambda key, k=(rdd_id, journal_split): key == k
-                )
-            self._pending_updates = None
-            stats.task_retries += 1
-            stats.count_fault(label)
-            recovery_seconds += elapsed
-            if tracer.enabled:
-                tracer.event(
-                    "fault_injected", fault=label, job=stats.name,
-                    kind="task", task=split, attempt=attempt,
-                )
-        raise JobFailedError(
-            f"stage {stats.name!r}: partition {split} failed "
-            f"{self.max_task_attempts} times"
-        )
-
-    # -- concurrent stage execution ---------------------------------------
+    # -- stage execution --------------------------------------------------
 
     def _execute_partition_scoped(
         self, rdd, split: int, partition_fn, job_name: str, plan
@@ -478,13 +405,13 @@ class SparkContext:
 
         Pure with respect to driver state: every observable lands in the
         attempt's :class:`_TaskScope` and is committed by the driver in
-        partition-index order.
+        partition-index order.  A task body that raises (rather than an
+        injected fault) propagates out of the stage before anything commits.
         """
         tracer = get_tracer()
         attempts: list[_ScopedAttempt] = []
         # One discard set for the whole retry loop: a block recomputed by a
-        # failed attempt is no longer "lost" for the retry, exactly as the
-        # serial loop's immediate discard behaved.
+        # failed attempt is no longer "lost" for the retry.
         lost_discards: set[tuple[int, int]] = set()
         for attempt, (factor, label) in enumerate(plan, 1):
             scope = _TaskScope(
@@ -528,11 +455,16 @@ class SparkContext:
     ) -> tuple[Any, float, float, int]:
         """Apply one task's scoped attempts to driver state, in order.
 
-        Mirrors the serial :meth:`_attempt_partition` effect-for-effect: a
-        failed attempt's cache puts are applied then evicted (the same
-        put/evict churn and trace events the serial rollback produced), its
-        time becomes recovery time; the successful attempt commits its puts
-        and staged accumulator updates.
+        A failed attempt's cache puts are applied then evicted (the executor
+        that held them died with the task, so the put/evict churn and its
+        trace events are real) and its time becomes recovery time; the
+        successful attempt commits its puts and staged accumulator updates.
+
+        Returns ``(result, success_seconds, recovery_seconds, retries)``:
+        the successful attempt's own compute time (what speculative
+        execution may cap) separated from the recovery time -- failed
+        attempts plus lineage recomputation of lost cached blocks, which
+        no speculative copy can refund.
         """
         tracer = get_tracer()
         registry = get_registry()
@@ -612,20 +544,12 @@ class SparkContext:
                 lost_bytes=sum(nbytes for _k, nbytes, _d in evicted),
             )
 
-    def _journal_put(self, rdd_id: int, split: int) -> None:
-        """Record a cache put by the in-flight task attempt (for rollback)."""
-        if self._put_journal is not None:
-            self._put_journal.append((rdd_id, split))
-
     def _stage_accumulator_update(self, accumulator: Accumulator, update: Any) -> bool:
         """Buffer an in-task accumulator update; False when no task runs."""
         scope = self._active_scope()
-        if scope is not None:
-            scope.pending_updates.append((accumulator, update))
-            return True
-        if self._pending_updates is None:
+        if scope is None:
             return False
-        self._pending_updates.append((accumulator, update))
+        scope.pending_updates.append((accumulator, update))
         return True
 
     def _charge_accumulator_bytes(self, nbytes: int) -> None:

@@ -86,11 +86,14 @@ class RDD:
     def _iterator(self, split: int, stats=None) -> list:
         """Materialize one partition, honouring the cache.
 
-        When a concurrent task scope is active (``ctx._active_scope()``),
-        cache puts are deferred into the scope (with a local overlay so the
-        task sees its own puts), trace events are buffered for ordered
-        commit, and the lineage-recompute clock is per-scope -- concurrent
-        attempts never touch shared driver state.
+        Inside a task attempt (``ctx._active_scope()`` is set, on every
+        executor), cache puts are deferred into the scope (with a local
+        overlay so the task sees its own puts), trace events are buffered
+        for ordered commit, and lineage recomputation is timed on the
+        scope's clock -- task attempts never touch shared driver state.
+        Without a scope this is driver-side evaluation (e.g. the backend
+        sizing a cached RDD): puts, lost-block discards and trace events
+        apply directly.
         """
         ctx = self.context
         scope = ctx._active_scope()
@@ -132,11 +135,10 @@ class RDD:
                             count_cache_hit(registry, block.nbytes)
                 return block.data
         key = (self.rdd_id, split)
-        # Under a concurrent scope the shared lost-block set is read-only:
-        # recomputed keys are staged in the scope and discarded by the
-        # driver at commit, so a sibling task never observes a mid-flight
-        # mutation.  The scope's own discards mask the shared set, keeping
-        # the retry loop's view identical to the serial immediate discard.
+        # Under a scope the shared lost-block set is read-only: recomputed
+        # keys are staged in the scope and discarded by the driver at
+        # commit, so a sibling task never observes a mid-flight mutation.
+        # The scope's own discards mask the shared set for its retries.
         was_lost = (
             self._cached
             and (scope is None or key not in scope.lost_discards)
@@ -163,20 +165,15 @@ class RDD:
                     ctx._recompute_depth -= 1
                     ctx._lost_blocks.discard(key)
         if charge:
-            elapsed = time.perf_counter() - started
             if scope is not None:
-                scope.recompute_seconds += elapsed
+                scope.recompute_seconds += time.perf_counter() - started
                 if tracer.enabled:
                     scope.events.append((
                         "lineage_recompute",
                         dict(rdd_id=self.rdd_id, split=split),
                     ))
-            else:
-                ctx._recompute_seconds += elapsed
-                if tracer.enabled:
-                    tracer.event(
-                        "lineage_recompute", rdd_id=self.rdd_id, split=split
-                    )
+            elif tracer.enabled:
+                tracer.event("lineage_recompute", rdd_id=self.rdd_id, split=split)
         if self._cached:
             nbytes = sizeof(data)
             if scope is not None:
@@ -184,7 +181,6 @@ class RDD:
                 scope.overlay[(self.rdd_id, split)] = (data, nbytes)
             else:
                 ctx.block_manager.put(self.rdd_id, split, data, nbytes)
-                ctx._journal_put(self.rdd_id, split)
         return data
 
     # -- transformations (lazy) ----------------------------------------------
@@ -332,10 +328,9 @@ class RDD:
             ]
 
         def compute(split, stats):
-            # Double-checked lock: the first task of a concurrent stage
+            # Double-checked lock: the first task of a stage to get here
             # materializes the whole shuffle (charging its shuffle bytes to
-            # that task's stats, as the serial first-compute did); the rest
-            # reuse it.
+            # that task's stats); the rest reuse it.
             if state["partitions"] is None:
                 with state["lock"]:
                     if state["partitions"] is None:

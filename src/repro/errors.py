@@ -16,6 +16,14 @@ class ShapeError(ReproError, ValueError):
     """An array or matrix argument has an incompatible shape."""
 
 
+class NonFiniteInputError(ReproError, ValueError):
+    """An input matrix holds NaN or infinite cells.
+
+    Raised before any work is distributed: one such cell would otherwise
+    turn every EM statistic, and so the fitted components, into NaN.
+    """
+
+
 class ConfigError(ReproError, ValueError):
     """A configuration value is invalid (the message names valid choices)."""
 

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.backends.spark import SparkBackend
+from repro.core import SPCA, SPCAConfig
 from repro.engine.exec import (
     EXECUTOR_NAMES,
     ProcessPoolTaskExecutor,
@@ -27,6 +29,8 @@ from repro.engine.exec import (
     make_executor,
     resolve_executor,
 )
+from repro.engine.mapreduce import MapReduceJob, MapReduceRuntime, Mapper, SumReducer
+from repro.engine.spark.context import SparkContext
 from repro.errors import InvalidPlanError
 from repro.faults import FaultSite, PlannedFaults, RandomFaults
 from repro.faults.plan import FaultPlan, KillTask, Straggler
@@ -146,6 +150,48 @@ class TestContract:
             out = ex.run_tasks(lambda x: captured.append(x) or x + 1, [5, 6])
         assert out == [6, 7]
         assert captured == [5, 6]  # ran in this process, in index order
+
+
+class _CountingSerial(SerialExecutor):
+    """A serial executor that records every batch it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.labels = []
+
+    def run_tasks(self, fn, payloads, label="tasks"):
+        self.labels.append(label)
+        return super().run_tasks(fn, payloads, label)
+
+
+class _KeyByParity(Mapper):
+    def map(self, key, value, ctx):
+        return [(key % 2, value)]
+
+
+class TestSerialDispatch:
+    """``serial`` runs every stage through ``run_tasks``, like the pools."""
+
+    def test_mapreduce_phases_dispatch_once_each(self):
+        executor = _CountingSerial()
+        runtime = MapReduceRuntime(executor=executor)
+        job = MapReduceJob(
+            name="J", mapper=_KeyByParity(), combiner=SumReducer(),
+            reducer=SumReducer(), num_reducers=2,
+        )
+        splits = [[(i, 1) for i in range(lo, lo + 5)] for lo in (0, 5, 10)]
+        assert sorted(runtime.run(job, splits)) == [(0, 8), (1, 7)]
+        assert executor.labels == ["J/map", "J/combine", "J/reduce"]
+
+    def test_spark_fit_dispatches_once_per_stage(self):
+        executor = _CountingSerial()
+        context = SparkContext(executor=executor)
+        config = SPCAConfig(n_components=2, max_iterations=2, seed=1)
+        data = np.random.default_rng(4).normal(size=(40, 6))
+        SPCA(config, SparkBackend(config, context=context)).fit(data)
+        stages = [job.name for job in context.metrics.jobs if job.n_map_tasks]
+        assert "YtXJob" in stages
+        assert executor.labels == stages
 
 
 class TestSharedMemory:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.backends import SequentialBackend
+from repro.backends import MapReduceBackend, SequentialBackend, SparkBackend
 from repro.core import SPCA, SPCAConfig, fit_ppca
-from repro.errors import ShapeError
+from repro.core.checkpoint import DirectoryCheckpointStore
+from repro.errors import NonFiniteInputError, ShapeError
 from repro.metrics import subspace_angle_degrees
 
 
@@ -53,6 +54,47 @@ class TestDegenerateInputs:
         matrix = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 2.0]]))
         model, _ = SPCA(SPCAConfig(n_components=1, max_iterations=5, seed=8)).fit(matrix)
         assert model.components.shape == (2, 1)
+
+
+class TestNonFiniteInput:
+    CONFIG = SPCAConfig(n_components=2, max_iterations=3, seed=30)
+
+    @staticmethod
+    def poisoned(kind, value):
+        data = np.random.default_rng(31).normal(size=(24, 6))
+        if kind == "sparse":
+            data[np.abs(data) < 0.5] = 0.0
+        data[7, 3] = value
+        return sp.csr_matrix(data) if kind == "sparse" else data
+
+    @pytest.mark.parametrize("backend_name", ["sequential", "mapreduce", "spark"])
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_fit_rejects_non_finite_cell(self, value, kind, backend_name):
+        backend = {
+            "sequential": SequentialBackend,
+            "mapreduce": MapReduceBackend,
+            "spark": SparkBackend,
+        }[backend_name](self.CONFIG)
+        with pytest.raises(NonFiniteInputError):
+            SPCA(self.CONFIG, backend).fit(self.poisoned(kind, value))
+        # Rejected before the data was distributed: no job ever ran.
+        assert backend.intermediate_bytes == 0
+        assert backend.simulated_seconds == 0.0
+
+    def test_resume_rejects_non_finite_cell(self, tmp_path):
+        store = DirectoryCheckpointStore(tmp_path / "ckpts")
+        clean = self.poisoned("dense", 0.0)
+        SPCA(self.CONFIG).fit(clean, checkpoint=store)
+        with pytest.raises(NonFiniteInputError):
+            SPCA(self.CONFIG).resume(self.poisoned("dense", np.nan), store)
+
+    def test_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            SPCA(self.CONFIG).fit(self.poisoned("sparse", np.inf))
+
+    def test_sparse_without_stored_cells_passes_the_check(self):
+        SPCA(self.CONFIG)._validate_input(sp.csr_matrix((24, 6)))
 
 
 class TestInvariances:
